@@ -80,10 +80,9 @@ chaos-smoke:
 	./scripts/chaos_smoke.sh
 
 # Mirrors the CI compress-smoke job: byte-identical local/remote
-# verdicts with v3 block compression negotiated (the default), /metrics
-# proof that blocks flowed and saved bytes, downgrade parity against a
-# v2-capped server, -no-compress opt-out parity, and chaos parity with
-# compressed blocks on a faulty transport.
+# verdicts with block compression negotiated (the default), /metrics
+# proof that blocks flowed and saved bytes, -no-compress opt-out
+# parity, and chaos parity with compressed blocks on a faulty transport.
 compress-smoke:
 	./scripts/compress_smoke.sh
 

@@ -7,7 +7,7 @@
 //
 // # Fault tolerance
 //
-// The client speaks protocol v2: every Events frame carries a
+// Every Events frame carries a
 // monotonically increasing sequence number, and the server acknowledges
 // the highest contiguously ingested sequence. Batches stay in a bounded
 // replay window until acknowledged, so when the connection dies —
@@ -31,15 +31,15 @@
 //
 // # Wire compression
 //
-// By default the client opens at protocol v3 offering CapCompress; when
-// the server grants it, batches ship as compressed EventsBlock frames
+// By default the client offers CapCompress in its handshake; when the
+// server grants it, batches ship as compressed EventsBlock frames
 // (delta/varint plus copy-run encoding of the fork-join structure,
 // flate fallback — internal/wire's block codec), typically cutting
-// bytes on the wire several-fold. Against an older server the client
-// downgrades to v2 transparently; Options.NoCompress keeps v3 but
-// ships plain frames. Compression never touches verdicts: blocks decode
-// to the identical event stream, and Session.Stats reports the
-// blocks/bytes/ratio accounting.
+// bytes on the wire several-fold. WithNoCompress (or a server that
+// withholds the capability) ships plain sequenced Events frames.
+// Compression never touches verdicts: blocks decode to the identical
+// event stream, and Session.Stats reports the blocks/bytes/ratio
+// accounting.
 package client
 
 import (
@@ -62,11 +62,11 @@ import (
 )
 
 // DefaultFrameEvents is how many events a Session packs per wire frame
-// before flushing, when Options leaves FrameEvents unset.
+// before flushing, unless WithFrameEvents says otherwise.
 const DefaultFrameEvents = 512
 
 // DefaultWindowBatches bounds the replay window (unacknowledged batches
-// held for resend) when Options leaves WindowBatches unset.
+// held for resend) unless WithReplayWindow says otherwise.
 const DefaultWindowBatches = 64
 
 // ErrPartial marks an incomplete verdict: either a report produced by a
@@ -89,7 +89,7 @@ type pending struct {
 type Session struct {
 	endpoints []string // dial targets, tried in rotation; [0] is the Dial addr
 	ep        int      // index of the endpoint the next dial tries
-	opts      Options
+	opts      options
 
 	mu   sync.Mutex
 	cond sync.Cond
@@ -99,7 +99,6 @@ type Session struct {
 
 	id       uint64
 	token    uint64 // resume token (0 before the first Welcome)
-	ver      int    // protocol version to open with (downgraded on refusal)
 	caps     uint64 // capabilities granted on the current connection
 	nextSeq  uint64 // sequence for the next batch cut from the producer
 	acked    uint64 // highest server-acknowledged sequence
@@ -134,36 +133,15 @@ type Session struct {
 // with an invalid value fails Dial immediately, before any network
 // traffic. Transport failures are retried within the MaxAttempts
 // budget, rotating through addr plus any WithEndpoints fallbacks;
-// server refusals (unknown engine, session limit) fail immediately.
+// server refusals (unknown engine, session limit, bad credential,
+// quota, unsupported protocol version) fail immediately.
 func Dial(addr string, opts ...Option) (*Session, error) {
-	var o Options
-	for _, opt := range opts {
-		if opt == nil {
-			continue
-		}
-		if err := opt(&o); err != nil {
-			return nil, err
-		}
-	}
-	return DialOptions(addr, o)
-}
-
-// DialOptions connects like Dial but configured by the legacy Options
-// struct. Both paths resolve to the same normalized configuration, so
-// DialOptions(addr, Options{MaxAttempts: 3}) and Dial(addr,
-// WithMaxAttempts(3)) behave identically; the struct form skips the
-// constructors' eager validation, except that an out-of-range
-// MaxVersion is now an explicit error rather than a silent clamp.
-//
-// Deprecated: use Dial with functional options.
-func DialOptions(addr string, opts Options) (*Session, error) {
-	norm, err := opts.normalized()
+	norm, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
 	s := &Session{opts: norm, nextSeq: 1}
 	s.endpoints = append([]string{addr}, norm.Endpoints...)
-	s.ver = s.opts.MaxVersion
 	s.cond.L = &s.mu
 	s.batch = make([]fj.Event, 0, s.opts.FrameEvents)
 	if err := s.connect(); err != nil {
@@ -259,12 +237,12 @@ func (s *Session) connect() error {
 			s.mu.Unlock()
 			return err
 		}
-		token, ver := s.token, s.ver
+		token := s.token
 		addr := s.endpoints[s.ep%len(s.endpoints)]
 		s.mu.Unlock()
 
 		if attempt > 0 {
-			s.backoff(attempt)
+			time.Sleep(backoff(s.opts, attempt))
 		}
 		conn, err := net.DialTimeout("tcp", addr, s.opts.DialTimeout)
 		if err != nil {
@@ -272,7 +250,7 @@ func (s *Session) connect() error {
 			s.nextEndpoint()
 			continue
 		}
-		if err := s.handshake(conn, ver, token); err != nil {
+		if err := s.handshake(conn, token); err != nil {
 			conn.Close()
 			if terminal := s.terminalErr(); terminal != nil {
 				return terminal
@@ -312,43 +290,38 @@ func (s *Session) terminalErr() error {
 	return s.srvErr
 }
 
-// backoff sleeps the full-jitter exponential delay for a retry attempt.
-func (s *Session) backoff(attempt int) {
+// backoff is the reconnect delay shared by streaming sessions and
+// Fetch: full jitter under an exponential ceiling, uniform(0, min(max,
+// base<<k)).
+func backoff(o options, attempt int) time.Duration {
 	shift := attempt - 1
 	if shift > 16 {
 		shift = 16
 	}
-	ceil := s.opts.BackoffBase << shift
-	if ceil > s.opts.BackoffMax || ceil <= 0 {
-		ceil = s.opts.BackoffMax
+	ceil := o.BackoffBase << shift
+	if ceil > o.BackoffMax || ceil <= 0 {
+		ceil = o.BackoffMax
 	}
-	time.Sleep(time.Duration(rand.Int63n(int64(ceil) + 1)))
+	return time.Duration(rand.Int63n(int64(ceil) + 1))
 }
 
-// handshake performs the hello/welcome exchange on a fresh conn at the
-// given protocol version and, on success, installs it as the session's
-// current connection with its reader and heartbeat goroutines. A server
-// refusing the version downgrades the session to v2 for the retry.
-func (s *Session) handshake(conn net.Conn, ver int, token uint64) error {
+// handshake performs the hello/welcome exchange on a fresh conn and,
+// on success, installs it as the session's current connection with its
+// reader and heartbeat goroutines.
+func (s *Session) handshake(conn net.Conn, token uint64) error {
 	conn.SetDeadline(time.Now().Add(s.opts.DialTimeout))
 	hello := wire.Hello{Engine: s.opts.Engine, BatchSize: s.opts.BatchSize, Token: token, RouteKey: s.opts.RouteKey}
-	var offered uint64
-	if ver >= wire.V3 && !s.opts.NoCompress {
-		offered = wire.CapCompress
+	if !s.opts.NoCompress {
+		hello.Caps = wire.CapCompress
 	}
-	if ver >= wire.V3 && s.opts.AuthToken != "" {
-		offered |= wire.CapTenant
+	if s.opts.AuthToken != "" {
+		hello.Caps |= wire.CapTenant
 		hello.Auth = s.opts.AuthToken
 	}
-	hello.Caps = offered
-	hpayload := wire.EncodeHelloV2(hello)
-	if ver >= wire.V3 {
-		hpayload = wire.EncodeHelloV3(hello)
-	}
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	err := wire.WriteMagicVersion(bw, byte(ver))
+	err := wire.WriteMagic(bw)
 	if err == nil {
-		err = wire.WriteFrame(bw, wire.FrameHello, hpayload)
+		err = wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHelloV3(hello))
 	}
 	if err == nil {
 		err = bw.Flush()
@@ -363,12 +336,7 @@ func (s *Session) handshake(conn net.Conn, ver int, token uint64) error {
 	var welcome wire.Welcome
 	switch ft {
 	case wire.FrameWelcome:
-		if ver >= wire.V3 {
-			welcome, err = wire.DecodeWelcomeV3(payload)
-		} else {
-			welcome, err = wire.DecodeWelcomeV2(payload)
-		}
-		if err != nil {
+		if welcome, err = wire.DecodeWelcomeV3(payload); err != nil {
 			return fmt.Errorf("client: handshake: %w", err)
 		}
 	case wire.FrameError:
@@ -384,48 +352,15 @@ func (s *Session) handshake(conn net.Conn, ver int, token uint64) error {
 				s.mu.Unlock()
 				return fmt.Errorf("client: %s; replaying stream into a fresh session", payload)
 			}
-			s.mu.Lock()
-			s.broken = fmt.Errorf("client: session lost (%s) and RetainAll is off: %w", payload, ErrPartial)
-			err := s.broken
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return err
+			return s.breakCircuit(fmt.Errorf("client: session lost (%s) and RetainAll is off: %w", payload, ErrPartial))
 		}
-		if strings.HasPrefix(string(payload), wire.HandshakeRefusedPrefix) {
-			if ver > wire.V2 && strings.Contains(string(payload), wire.ErrVersion.Error()) {
-				// The server speaks an older protocol: downgrade to v2 and
-				// retry. Negotiation is not a fault, so the attempt budget
-				// resets.
-				s.mu.Lock()
-				if s.ver > wire.V2 {
-					s.ver = wire.V2
-					s.attempts = 0
-				}
-				s.mu.Unlock()
-				return fmt.Errorf("client: server refused v%d (%s); downgrading to v%d", ver, payload, wire.V2)
-			}
-			if strings.Contains(string(payload), wire.ErrAuth.Error()) ||
-				strings.Contains(string(payload), wire.ErrQuota.Error()) {
-				// Auth and quota refusals ride the handshake-refusal
-				// prefix but are terminal: resending the same credential
-				// (or piling onto an exhausted quota) cannot succeed.
-				refusal := fmt.Errorf("client: server refused session: %s", payload)
-				s.mu.Lock()
-				s.broken = refusal
-				s.cond.Broadcast()
-				s.mu.Unlock()
-				return refusal
-			}
+		if strings.HasPrefix(string(payload), wire.HandshakeRefusedPrefix) && !terminalRefusal(string(payload)) {
 			// The server could not read our handshake — the bytes were
-			// garbled in transit, not the request itself. Retryable.
+			// garbled in transit, not the request itself — or it is
+			// draining. Retryable.
 			return fmt.Errorf("client: handshake refused: %s", payload)
 		}
-		refusal := fmt.Errorf("client: server refused session: %s", payload)
-		s.mu.Lock()
-		s.broken = refusal
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return refusal
+		return s.breakCircuit(fmt.Errorf("client: server refused session: %s", payload))
 	default:
 		return fmt.Errorf("client: handshake: unexpected %v frame", ft)
 	}
@@ -434,7 +369,7 @@ func (s *Session) handshake(conn net.Conn, ver int, token uint64) error {
 	s.mu.Lock()
 	s.id = welcome.Session
 	s.token = welcome.Token
-	s.caps = welcome.Caps & offered // never use a capability we did not offer
+	s.caps = welcome.Caps & hello.Caps // never use a capability we did not offer
 	if welcome.NextSeq > 0 && welcome.NextSeq-1 > s.acked {
 		// The server ingested more than we saw acks for; trust it.
 		s.acked = welcome.NextSeq - 1
@@ -456,6 +391,38 @@ func (s *Session) handshake(conn net.Conn, ver int, token uint64) error {
 		go s.heartbeat(conn, gen)
 	}
 	return nil
+}
+
+// breakCircuit makes err the session's terminal state: no further
+// connect attempts, and Finish reports it. Returns err.
+func (s *Session) breakCircuit(err error) error {
+	s.mu.Lock()
+	s.broken = err
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	return err
+}
+
+// terminalRefusal reports whether a server refusal text names a failure
+// no retry can cure: a bad credential (wire.ErrAuth), an exhausted
+// quota (wire.ErrQuota), an unsupported protocol version
+// (wire.ErrVersion), or a tampered report store. The first three ride
+// the handshake-refusal prefix, which otherwise marks a retryable
+// refusal. Dial and Fetch both classify refusals here. (Unknown-resume
+// is classified separately: its meaning depends on RetainAll and, for
+// Fetch, on the remaining endpoints.)
+func terminalRefusal(msg string) bool {
+	for _, terminal := range []string{
+		wire.ErrAuth.Error(),
+		wire.ErrQuota.Error(),
+		wire.ErrVersion.Error(),
+		"store: log tampered",
+	} {
+		if strings.Contains(msg, terminal) {
+			return true
+		}
+	}
+	return false
 }
 
 // pruneLocked drops acknowledged batches from the window (kept under
@@ -508,10 +475,11 @@ func (s *Session) resendWindow() bool {
 }
 
 // writeEvents writes one sequenced batch, as a compressed block when
-// the connection negotiated CapCompress and as a plain v2 Events frame
+// the connection negotiated CapCompress and as a plain Events frame
 // otherwise. Resends re-encode: a batch first sent compressed can go
-// out uncompressed on a downgraded reconnect, and vice versa — the
-// sequence number, not the byte form, is the batch's identity.
+// out uncompressed on a reconnect that was granted less, and vice
+// versa — the sequence number, not the byte form, is the batch's
+// identity.
 func (s *Session) writeEvents(conn net.Conn, bw *bufio.Writer, compress bool, p pending) error {
 	if compress {
 		return s.writeFrame(conn, bw, wire.FrameEventsBlock, func(dst []byte) []byte {

@@ -76,24 +76,3 @@ func ExampleFetch() {
 	}
 	fmt.Println("races:", rep.Report.Count)
 }
-
-// Migrating from the deprecated struct form: DialOptions(addr,
-// Options{...}) behaves byte-identically to Dial with the matching
-// constructors — Options fields map one-to-one onto With* options
-// (HeartbeatInterval/HeartbeatMisses onto WithHeartbeat, BackoffBase/
-// BackoffMax onto WithBackoff, WindowBatches onto WithReplayWindow).
-// New code should use Dial; DialOptions remains for existing callers.
-func ExampleDialOptions() {
-	structForm := client.Options{
-		Engine:            "2d",
-		FrameEvents:       512,
-		HeartbeatInterval: 2 * time.Second,
-		HeartbeatMisses:   3,
-	}
-	sess, err := client.DialOptions("localhost:7471", structForm)
-	if err != nil {
-		fmt.Println(err) // same failure Dial would report
-		return
-	}
-	defer sess.Close()
-}

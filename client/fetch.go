@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"time"
@@ -32,7 +31,7 @@ type Fetched struct {
 
 // Fetch retrieves the persisted Report stored under a resume token — a
 // one-shot "resume of a finished session": it dials, presents the token
-// (and WithAuthToken credential, if any) in a v3 handshake, and returns
+// (and WithAuthToken credential, if any) in the handshake, and returns
 // the Report the server persisted before acking that session's Finish.
 // Against a raced with -store-dir this works across server restarts;
 // against the default in-memory store it works for the resume window.
@@ -52,16 +51,7 @@ func Fetch(addr string, token uint64, opts ...Option) (*Fetched, error) {
 	if token == 0 {
 		return nil, fmt.Errorf("client: fetch: zero resume token")
 	}
-	var o Options
-	for _, opt := range opts {
-		if opt == nil {
-			continue
-		}
-		if err := opt(&o); err != nil {
-			return nil, err
-		}
-	}
-	norm, err := o.normalized()
+	norm, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -85,18 +75,18 @@ func Fetch(addr string, token uint64, opts ...Option) (*Fetched, error) {
 			}
 			continue
 		}
-		if fetchTerminal(err) {
+		if terminalRefusal(err.Error()) {
 			return nil, err
 		}
 		if attempt < norm.MaxAttempts {
-			time.Sleep(fetchBackoff(norm, attempt))
+			time.Sleep(backoff(norm, attempt))
 		}
 	}
 	return nil, lastErr
 }
 
 // fetchOnce runs one dial + fetch handshake against one endpoint.
-func fetchOnce(addr string, token uint64, norm Options) (*Fetched, error) {
+func fetchOnce(addr string, token uint64, norm options) (*Fetched, error) {
 	conn, err := net.DialTimeout("tcp", addr, norm.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: fetch: %w", err)
@@ -109,7 +99,7 @@ func fetchOnce(addr string, token uint64, norm Options) (*Fetched, error) {
 		hello.Caps = wire.CapTenant
 	}
 	bw := bufio.NewWriter(conn)
-	if err := wire.WriteMagicVersion(bw, byte(wire.V3)); err == nil {
+	if err := wire.WriteMagic(bw); err == nil {
 		err = wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHelloV3(hello))
 	}
 	if err == nil {
@@ -159,40 +149,6 @@ func fetchOnce(addr string, token uint64, norm Options) (*Fetched, error) {
 	default:
 		return nil, fmt.Errorf("client: fetch: unexpected %v frame", ft)
 	}
-}
-
-// fetchTerminal classifies a fetch failure as one no retry can cure:
-// the server answered coherently and said no. Everything else — dial
-// errors, truncated reads, draining refusals — is worth another
-// attempt. (Unknown-resume is classified separately in Fetch: it is
-// terminal per endpoint, not per fetch.)
-func fetchTerminal(err error) bool {
-	msg := err.Error()
-	for _, terminal := range []string{
-		wire.ErrAuth.Error(),
-		wire.ErrQuota.Error(),
-		wire.ErrVersion.Error(),
-		"store: log tampered",
-	} {
-		if strings.Contains(msg, terminal) {
-			return true
-		}
-	}
-	return false
-}
-
-// fetchBackoff mirrors the streaming session's reconnect backoff: full
-// jitter under an exponential ceiling, uniform(0, min(max, base<<k)).
-func fetchBackoff(o Options, attempt int) time.Duration {
-	shift := attempt - 1
-	if shift > 16 {
-		shift = 16
-	}
-	ceil := o.BackoffBase << shift
-	if ceil > o.BackoffMax || ceil <= 0 {
-		ceil = o.BackoffMax
-	}
-	return time.Duration(rand.Int63n(int64(ceil) + 1))
 }
 
 // IsUnknownToken reports whether a Fetch (or Dial resume) error is the

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func startScripted(t *testing.T, handler func(i int, c net.Conn)) (string, *atom
 // readFetchHello consumes the magic and Hello frame a fetching client
 // sends, so scripted refusals happen after a complete handshake read.
 func readFetchHello(c net.Conn) (wire.Hello, bool) {
-	if _, err := wire.ReadMagicVersion(c); err != nil {
+	if err := wire.ReadMagic(c); err != nil {
 		return wire.Hello{}, false
 	}
 	ft, payload, err := wire.ReadFrame(c, nil)
@@ -142,7 +143,7 @@ func TestFetchTerminalRefusalsDoNotRetry(t *testing.T) {
 		}
 	})
 	_, err := Fetch(addr, 0x42, WithMaxAttempts(5), WithBackoff(time.Millisecond, 2*time.Millisecond))
-	if err == nil || !fetchTerminal(err) {
+	if err == nil || !terminalRefusal(err.Error()) {
 		t.Fatalf("err = %v, want terminal auth refusal", err)
 	}
 	if n := conns.Load(); n != 1 {
@@ -154,16 +155,35 @@ func TestFetchTerminalRefusalsDoNotRetry(t *testing.T) {
 // delay stays within [0, min(max, base<<attempt-1)] and the ceiling
 // saturates at BackoffMax rather than overflowing.
 func TestFetchBackoffCeiling(t *testing.T) {
-	o := Options{BackoffBase: 50 * time.Millisecond, BackoffMax: 2 * time.Second}
+	o := options{BackoffBase: 50 * time.Millisecond, BackoffMax: 2 * time.Second}
 	for attempt := 1; attempt <= 80; attempt++ {
 		ceil := o.BackoffBase << uint(min(attempt-1, 16))
 		if ceil > o.BackoffMax || ceil <= 0 {
 			ceil = o.BackoffMax
 		}
 		for trial := 0; trial < 20; trial++ {
-			if d := fetchBackoff(o, attempt); d < 0 || d > ceil {
+			if d := backoff(o, attempt); d < 0 || d > ceil {
 				t.Fatalf("attempt %d: backoff %v outside [0, %v]", attempt, d, ceil)
 			}
 		}
+	}
+}
+
+// TestDialVersionRefusalIsTerminal: with one protocol version there is
+// nothing to downgrade to, so a server answering the handshake with the
+// version refusal ends Dial after a single connection — the error
+// carries the wire.ErrVersion text and no MaxAttempts budget is spent.
+func TestDialVersionRefusalIsTerminal(t *testing.T) {
+	addr, conns := startScripted(t, func(i int, c net.Conn) {
+		if _, ok := readFetchHello(c); ok {
+			refuse(c, wire.ErrVersion.Error()+": version 3, speak 4")
+		}
+	})
+	_, err := Dial(addr, WithMaxAttempts(5), WithBackoff(time.Millisecond, 2*time.Millisecond), WithoutHeartbeat())
+	if err == nil || !strings.Contains(err.Error(), wire.ErrVersion.Error()) {
+		t.Fatalf("err = %v, want the version refusal", err)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("connections = %d, want 1 (a version refusal is terminal)", n)
 	}
 }

@@ -52,7 +52,7 @@ func run(args []string) int {
 	traceStats := fs.Bool("stats", false, "print trace shape and per-engine operation-count statistics")
 	viz := fs.Bool("viz", false, "render the task line's evolution (small programs)")
 	remote := fs.String("remote", "", "raced server address(es), comma-separated; detection runs remotely over the wire protocol, extra addresses are failover endpoints (and fetch fallbacks)")
-	noCompress := fs.Bool("no-compress", false, "send plain event frames instead of negotiating v3 block compression (remote runs only)")
+	noCompress := fs.Bool("no-compress", false, "send plain event frames instead of negotiating block compression (remote runs only)")
 	shards := fs.Int("shards", 0, "location shards for the 2d engine's access checks (0 or 1 = serial; local runs only)")
 	auth := fs.String("auth", "", "tenant credential name:key for remote runs against a -tenant-keys server")
 	fetch := fs.String("fetch", "", "retrieve the persisted report under this resume token (hex) instead of detecting; requires -remote")
@@ -210,11 +210,33 @@ func printReport(e race2d.Engine, rep *race2d.Report, locName func(race2d.Addr) 
 }
 
 // remoteOptions is the session configuration for every race2d remote
-// run: RetainAll keeps the whole stream replayable, so the verdict
-// survives not just dropped connections but a raced restart that forgot
-// the resume token (the stream replays into a fresh session).
-func remoteOptions(e race2d.Engine, noCompress bool, auth string, endpoints []string) client.Options {
-	return client.Options{Engine: e.String(), RetainAll: true, NoCompress: noCompress, AuthToken: auth, Endpoints: endpoints}
+// run, returned with the primary address of the -remote list: RetainAll
+// keeps the whole stream replayable, so the verdict survives not just
+// dropped connections but a raced restart that forgot the resume token
+// (the stream replays into a fresh session).
+func remoteOptions(remote string, e race2d.Engine, noCompress bool, auth string) (string, []client.Option) {
+	addr, opts := connectOptions(remote, auth)
+	opts = append(opts, client.WithEngine(e.String()), client.WithRetainAll())
+	if noCompress {
+		opts = append(opts, client.WithNoCompress())
+	}
+	return addr, opts
+}
+
+// connectOptions splits a -remote list into its primary address and the
+// options every remote call shares: the -auth credential and the
+// fallback endpoints. Dial and Fetch rotate through the fallbacks, so a
+// dead backend's report is retrieved from a replicating follower.
+func connectOptions(remote, auth string) (string, []client.Option) {
+	addr, extras := splitRemote(remote)
+	var opts []client.Option
+	if auth != "" {
+		opts = append(opts, client.WithAuthToken(auth))
+	}
+	if len(extras) > 0 {
+		opts = append(opts, client.WithEndpoints(extras...))
+	}
+	return addr, opts
 }
 
 // splitRemote splits a comma-separated -remote list into the primary
@@ -258,8 +280,8 @@ func noteRecovery(sess *client.Session) {
 // server; the Report comes back from the server's engine. When the
 // server drains mid-stream the partial report is used, with a warning.
 func execRemote(p *prog.Program, remote string, e race2d.Engine, recordTrace bool, trace *fj.Trace, noCompress bool, auth string) (*race2d.Report, *prog.Result, error) {
-	addr, extras := splitRemote(remote)
-	sess, err := client.DialOptions(addr, remoteOptions(e, noCompress, auth, extras))
+	addr, opts := remoteOptions(remote, e, noCompress, auth)
+	sess, err := client.Dial(addr, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -315,8 +337,8 @@ func runTrace(data []byte, engineName, remote string, shards int, all, truth, st
 	for _, e := range engines {
 		var rep *race2d.Report
 		if remote != "" {
-			addr, extras := splitRemote(remote)
-			sess, err := client.DialOptions(addr, remoteOptions(e, noCompress, auth, extras))
+			addr, opts := remoteOptions(remote, e, noCompress, auth)
+			sess, err := client.Dial(addr, opts...)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "race2d:", err)
 				return 2
@@ -411,16 +433,7 @@ func runFetch(data []byte, name, tokenHex, remote, auth, engineName string, json
 		locName = res.LocName
 	}
 
-	addr, extras := splitRemote(remote)
-	var opts []client.Option
-	if auth != "" {
-		opts = append(opts, client.WithAuthToken(auth))
-	}
-	if len(extras) > 0 {
-		// Fallback endpoints: Fetch rotates through them, so the report
-		// of a dead backend is retrieved from a replicating follower.
-		opts = append(opts, client.WithEndpoints(extras...))
-	}
+	addr, opts := connectOptions(remote, auth)
 	f, err := client.Fetch(addr, token, opts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "race2d:", err)

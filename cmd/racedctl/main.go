@@ -3,7 +3,7 @@
 // one to a backend by consistent-hashing its routing key (the client's
 // Hello.RouteKey, or a gateway-picked key) over a health-check-driven
 // membership ring, then proxies frames bidirectionally without
-// decoding payloads — v3 compressed blocks cross the gateway
+// decoding payloads — compressed blocks cross the gateway
 // untouched. Resume tokens learned from backend Welcomes pin
 // reconnects to their home backend; when that backend drains or dies
 // the token is re-routed and a RetainAll client replays its stream
@@ -15,15 +15,15 @@
 //	racedctl -backends host:port[=healthhost:port],... [-addr :7470]
 //	         [-metrics :7473] [-replication 64] [-probe-interval 500ms]
 //	         [-probe-fails 3] [-session-ttl 10m] [-queue-cap 4096]
-//	         [-idle-timeout 0] [-drain-timeout 10s] [-max-version 0] [-v]
+//	         [-idle-timeout 0] [-drain-timeout 10s] [-v]
 //
 // Each -backends entry is a raced wire address, optionally followed by
 // =metricsaddr; with a metrics address the gateway probes HTTP
 // /healthz (and sees drains as they start), without one it falls back
 // to a bare TCP probe (liveness only).
 //
-// The shared flags (-queue-cap, -idle-timeout, -drain-timeout,
-// -max-version, -addr, -metrics, -tenant-keys, -tenant-keys-file, -v)
+// The shared flags (-queue-cap, -idle-timeout, -drain-timeout, -addr,
+// -metrics, -tenant-keys, -tenant-keys-file, -v)
 // spell and default exactly as in raced — see internal/cliflags. With
 // -tenant-keys (or -tenant-keys-file, which SIGHUP reloads live) the
 // gateway refuses bad or missing tenant credentials at the edge,
@@ -133,7 +133,6 @@ func run(args []string) int {
 		ProbeFails:    *probeFails,
 		SessionTTL:    *sessionTTL,
 		IdleTimeout:   common.IdleTimeout,
-		MaxVersion:    common.MaxVersion,
 		// -queue-cap counts events, like raced's engine queue; size the
 		// relay buffers for that many encoded events (~16 bytes each,
 		// generously, before compression).

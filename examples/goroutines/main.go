@@ -13,8 +13,8 @@
 //
 // Migration note: frontends are configured through functional options —
 // race2d.DetectGoroutines(body, race2d.WithQueueCapacity(n),
-// race2d.WithContext(ctx), ...). The older fixed-signature entry points
-// (DetectWith, DetectProgram) still work but are deprecated.
+// race2d.WithContext(ctx), ...); the engine is one more option
+// (race2d.WithEngine).
 //
 // The example is a miniature parallel build system: workers compile
 // units, a linker joins the workers it depends on. One dependency edge is

@@ -1,8 +1,7 @@
 // Package cliflags is the single source of truth for the flag surface
 // the wire-protocol binaries (raced, racedctl) share. Both register
 // through it, so the shared knobs — -addr, -metrics, -queue-cap,
-// -idle-timeout, -drain-timeout, -max-version, -tenant-keys, -v —
-// spell, default,
+// -idle-timeout, -drain-timeout, -tenant-keys, -v — spell, default,
 // and document themselves identically in every binary; an operator who
 // knows one front-end knows them all.
 package cliflags
@@ -38,8 +37,6 @@ type Common struct {
 	IdleTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown before hard close.
 	DrainTimeout time.Duration
-	// MaxVersion caps the wire protocol version spoken (0 = newest).
-	MaxVersion int
 	// Verbose enables lifecycle logging.
 	Verbose bool
 }
@@ -53,7 +50,6 @@ func Register(fs *flag.FlagSet, defaultAddr string, c *Common) {
 	fs.IntVar(&c.QueueCap, "queue-cap", 0, "per-session buffering capacity in events (0 = default; raced: engine queue, racedctl: relay buffers)")
 	fs.DurationVar(&c.IdleTimeout, "idle-timeout", 0, "evict sessions idle this long (0 disables)")
 	fs.DurationVar(&c.DrainTimeout, "drain-timeout", DefaultDrainTimeout, "graceful shutdown budget before hard close")
-	fs.IntVar(&c.MaxVersion, "max-version", 0, "cap the wire protocol version spoken (0 = newest); newer clients are refused and downgrade")
 	fs.BoolVar(&c.Verbose, "v", false, "log session lifecycle events")
 }
 

@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"context"
 	"net"
 	"testing"
 	"time"
@@ -68,18 +67,12 @@ func TestClusterChaosParity(t *testing.T) {
 					t.Fatalf("seed %d: flush under %v faults: %v", seed, class, err)
 				}
 				home := findHome(t, backends)
-				var drained chan struct{}
+				var drained <-chan struct{}
 				if kill {
 					backends[home].hsrv.Close()
 					backends[home].srv.Close()
 				} else {
-					drained = make(chan struct{})
-					go func() {
-						defer close(drained)
-						ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-						defer cancel()
-						backends[home].srv.Shutdown(ctx)
-					}()
+					drained = drainHome(t, backends[home])
 				}
 
 				sess.EventBatch(events[half:])

@@ -42,11 +42,6 @@ type Config struct {
 	// backends' resume window, or a reconnect inside the window would
 	// needlessly migrate.
 	SessionTTL time.Duration
-	// MaxVersion caps the protocol version accepted from clients
-	// (wire.Version when 0). The refusal reuses raced's documented
-	// version error, so newer clients downgrade identically whether
-	// they hit a backend or the gateway.
-	MaxVersion int
 	// BufBytes sizes the per-direction relay write buffers (64 KiB
 	// when <= 0).
 	BufBytes int
@@ -69,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 10 * time.Minute
-	}
-	if c.MaxVersion <= 0 || c.MaxVersion > wire.Version {
-		c.MaxVersion = wire.Version
 	}
 	if c.BufBytes <= 0 {
 		c.BufBytes = 64 << 10
@@ -108,7 +100,7 @@ func (c *conduit) close() {
 // Gateway is the racedctl core: it accepts raced wire connections,
 // routes each session to a backend via the ring, and proxies frames
 // bidirectionally without interpreting payloads beyond the handshake —
-// compressed v3 blocks cross the gateway as opaque bytes. See the
+// compressed blocks cross the gateway as opaque bytes. See the
 // package comment for the routing model.
 type Gateway struct {
 	cfg    Config
@@ -383,16 +375,16 @@ func (g *Gateway) SetTenants(table map[string]string) {
 
 // authenticate verifies the client's tenant credential at the edge,
 // with exactly raced's rules (internal/server): no-op unless a tenant
-// table is live; pre-v3 clients and empty credentials are refused
-// because they cannot carry one; otherwise "name:key" must match in
-// constant time. The error text never says which part failed.
-func (g *Gateway) authenticate(version int, hello wire.Hello) error {
+// table is live; empty credentials are refused; otherwise "name:key"
+// must match in constant time. The error text never says which part
+// failed.
+func (g *Gateway) authenticate(hello wire.Hello) error {
 	g.tmu.RLock()
 	defer g.tmu.RUnlock()
 	if len(g.tenants) == 0 {
 		return nil
 	}
-	if version < wire.V3 || hello.Auth == "" {
+	if hello.Auth == "" {
 		return fmt.Errorf("%w (tenant credential required)", wire.ErrAuth)
 	}
 	name, key, ok := strings.Cut(hello.Auth, ":")
@@ -446,19 +438,11 @@ func (g *Gateway) handle(clientConn net.Conn) {
 	// Handshake phase: bounded reads so a stalled client cannot pin a
 	// goroutine forever.
 	clientConn.SetReadDeadline(time.Now().Add(g.cfg.DialTimeout))
-	version, err := wire.ReadMagicVersion(clientConn)
-	if err != nil {
+	if err := wire.ReadMagic(clientConn); err != nil {
 		if errors.Is(err, wire.ErrEmptyHandshake) {
 			return // health probe; close silently, like raced
 		}
 		g.refuse(clientConn, true, "racedctl: %v", err)
-		return
-	}
-	if version > g.cfg.MaxVersion {
-		// Same documented refusal as raced, so clients downgrade
-		// identically.
-		g.refuse(clientConn, true, "%v: version %d, speak %d..%d",
-			wire.ErrVersion, version, wire.V1, g.cfg.MaxVersion)
 		return
 	}
 	ft, payload, err := wire.ReadFrame(clientConn, nil)
@@ -466,20 +450,12 @@ func (g *Gateway) handle(clientConn net.Conn) {
 		g.refuse(clientConn, true, "racedctl: expected hello frame")
 		return
 	}
-	var hello wire.Hello
-	switch {
-	case version >= wire.V3:
-		hello, err = wire.DecodeHelloV3(payload)
-	case version >= wire.V2:
-		hello, err = wire.DecodeHelloV2(payload)
-	default:
-		hello, err = wire.DecodeHello(payload)
-	}
+	hello, err := wire.DecodeHelloV3(payload)
 	if err != nil {
 		g.refuse(clientConn, true, "racedctl: malformed hello: %v", err)
 		return
 	}
-	if err := g.authenticate(version, hello); err != nil {
+	if err := g.authenticate(hello); err != nil {
 		g.authRefusals.Add(1)
 		// Retryable spelling (HandshakeRefusedPrefix) but terminal text:
 		// clients recognize wire.ErrAuth inside the refusal and stop, the
@@ -526,11 +502,11 @@ func (g *Gateway) handle(clientConn net.Conn) {
 		helloCopy = append([]byte(nil), payload...)
 	}
 
-	// Forward the handshake byte-identically: the version the client
-	// opened with and the Hello payload as received, so fields the
-	// gateway does not interpret survive the hop.
+	// Forward the handshake byte-identically: the magic and the Hello
+	// payload as received, so fields the gateway does not interpret
+	// survive the hop.
 	backendConn.SetDeadline(time.Now().Add(g.cfg.DialTimeout))
-	if err := wire.WriteMagicVersion(backendConn, byte(version)); err == nil {
+	if err := wire.WriteMagic(backendConn); err == nil {
 		err = wire.WriteFrame(backendConn, wire.FrameHello, payload)
 	}
 	if err != nil {
@@ -553,7 +529,7 @@ func (g *Gateway) handle(clientConn net.Conn) {
 	// refusal stands (RetainAll clients ride it out by replaying).
 	if ft == wire.FrameError && hello.Token != 0 &&
 		strings.Contains(string(payload), wire.ErrUnknownResume.Error()) {
-		if waddr, wconn, wpayload := g.fetchFanOut(version, helloCopy, addr); wconn != nil {
+		if waddr, wconn, wpayload := g.fetchFanOut(helloCopy, addr); wconn != nil {
 			g.logf("fetch fan-out: token %x answered by %s", hello.Token, waddr)
 			backendConn.Close()
 			backendConn, addr = wconn, waddr
@@ -562,14 +538,7 @@ func (g *Gateway) handle(clientConn net.Conn) {
 	}
 	var token uint64
 	if ft == wire.FrameWelcome {
-		var welcome wire.Welcome
-		var werr error
-		if version >= wire.V3 {
-			welcome, werr = wire.DecodeWelcomeV3(payload)
-		} else if version >= wire.V2 {
-			welcome, werr = wire.DecodeWelcomeV2(payload)
-		}
-		if werr == nil && welcome.Token != 0 {
+		if welcome, werr := wire.DecodeWelcomeV3(payload); werr == nil && welcome.Token != 0 {
 			token = welcome.Token
 			g.mu.Lock()
 			g.sessions[token] = &route{backend: addr, lastUsed: time.Now().UnixNano()}
@@ -639,12 +608,12 @@ func (g *Gateway) handle(clientConn net.Conn) {
 
 // fetchFanOut asks every Up backend except exclude for a resume token
 // the routed backend did not know, by replaying the client's handshake
-// (same version, byte-identical hello) to each in parallel. Each probe
+// (byte-identical hello) to each in parallel. Each probe
 // is bounded by DialTimeout; the first backend to answer with a
 // Welcome wins and its live connection is returned for the caller to
 // adopt — the losers are closed as their answers arrive. Returns a nil
 // conn when nobody knows the token.
-func (g *Gateway) fetchFanOut(version int, helloPayload []byte, exclude string) (string, net.Conn, []byte) {
+func (g *Gateway) fetchFanOut(helloPayload []byte, exclude string) (string, net.Conn, []byte) {
 	g.fetchFanouts.Add(1)
 	var cands []string
 	for a, st := range g.ring.Members() {
@@ -670,7 +639,7 @@ func (g *Gateway) fetchFanOut(version int, helloPayload []byte, exclude string) 
 				return
 			}
 			conn.SetDeadline(time.Now().Add(g.cfg.DialTimeout))
-			if err := wire.WriteMagicVersion(conn, byte(version)); err == nil {
+			if err := wire.WriteMagic(conn); err == nil {
 				err = wire.WriteFrame(conn, wire.FrameHello, helloPayload)
 			}
 			if err != nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fj"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/internal/workload"
 
 	race2d "repro"
@@ -252,7 +253,7 @@ func TestGatewayRouteKeyPinsBackend(t *testing.T) {
 // TestGatewayResumeSameBackend severs the client<->gateway transport
 // exactly once mid-stream: the client reconnects through the gateway
 // with its resume token and must land back on its home backend, where
-// the ordinary v2 bounded-window resume applies (no replay-from-zero).
+// the ordinary bounded-window resume applies (no replay-from-zero).
 func TestGatewayResumeSameBackend(t *testing.T) {
 	backends := []*backend{
 		startBackend(t, server.Config{ResumeWindow: 10 * time.Second}),
@@ -311,6 +312,32 @@ func findHome(t *testing.T, backends []*backend) int {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// drainHome starts a graceful drain of b in the background and returns
+// once b has retired every live session: the observable point where the
+// home session has been cut short, so whatever the client sends next
+// must migrate. Sending earlier races the drain — a Finish read before
+// the drain reaches the session completes it on its home backend, which
+// is correct but is not the migration under test. The returned channel
+// closes when Shutdown returns.
+func drainHome(t *testing.T, b *backend) <-chan struct{} {
+	t.Helper()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		b.srv.Shutdown(ctx)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.srv.Live() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the draining backend never retired its session")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return drained
 }
 
 // TestGatewayMigratesOnBackendDeath is the tentpole acceptance test:
@@ -391,15 +418,9 @@ func TestGatewayMigratesOnDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	home := findHome(t, backends)
-	// Graceful drain in the background; /healthz flips to 503 while the
-	// HTTP listener stays up — exactly raced's SIGTERM behavior.
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		backends[home].srv.Shutdown(ctx)
-	}()
+	// Graceful drain; /healthz flips to 503 while the HTTP listener stays
+	// up — exactly raced's SIGTERM behavior.
+	drained := drainHome(t, backends[home])
 
 	sess.EventBatch(events[half:])
 	rep, err := sess.Finish()
@@ -413,6 +434,38 @@ func TestGatewayMigratesOnDrain(t *testing.T) {
 		t.Errorf("gateway never detached the draining backend's session: %+v", st)
 	}
 	<-drained
+}
+
+// TestGatewayRefusesRetiredVersions: the gateway makes the same version
+// decision as raced (wire.ReadMagic) — a retired or unknown version
+// byte is answered at the edge with the handshake-refused prefix and
+// the wire.ErrVersion text, and no backend connection is spent on it.
+func TestGatewayRefusesRetiredVersions(t *testing.T) {
+	b := startBackend(t, server.Config{})
+	_, addr := startGateway(t, []*backend{b}, nil)
+	hello := wire.AppendFrame(nil, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{Engine: "2d"}))
+	for _, version := range []byte{1, 2, wire.Version + 1} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(append([]byte{'R', 'D', 'S', version}, hello...)); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := wire.ReadFrame(conn, nil)
+		conn.Close()
+		if err != nil || ft != wire.FrameError {
+			t.Fatalf("version %d: got %v (%v), want an Error frame", version, ft, err)
+		}
+		if text := string(payload); !strings.HasPrefix(text, wire.HandshakeRefusedPrefix) ||
+			!strings.Contains(text, wire.ErrVersion.Error()) {
+			t.Errorf("version %d: refusal %q, want the handshake prefix and the ErrVersion text", version, text)
+		}
+	}
+	if n := b.srv.Stats().Sessions; n != 0 {
+		t.Errorf("backend saw %d sessions; version refusals must stay at the edge", n)
+	}
 }
 
 // TestGatewayRefusalsRetryable: with no live backend the gateway must

@@ -2,7 +2,7 @@
 // consistent-hash membership ring over N backend servers, a health
 // prober that drives member states from /healthz (or a bare TCP
 // probe), and a session-routing gateway (racedctl) that proxies the
-// wire protocol frame-by-frame — v3 compressed blocks pass through
+// wire protocol frame-by-frame — compressed blocks pass through
 // untouched — while re-attaching in-flight sessions to a new backend
 // when their home backend drains or dies.
 //
@@ -15,7 +15,7 @@
 // moves ~1/N of the keyspace). The gateway learns the backend-issued
 // resume token by sniffing the Welcome frame, so a reconnecting client
 // presenting that token is routed straight back to the same backend
-// and the ordinary v2 bounded-window resume applies.
+// and the ordinary bounded-window resume applies.
 //
 // When the home backend is gone (Down, Draining, or simply forgotten),
 // the token routes to a fresh backend instead. That backend has no

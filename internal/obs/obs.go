@@ -95,7 +95,7 @@ type Stats struct {
 	Frames           uint64 `json:"frames,omitempty"`            // event frames ingested
 	WireBytes        uint64 `json:"wire_bytes,omitempty"`        // frame payload bytes received
 
-	// Fault tolerance (wire protocol v2). The client side reports its
+	// Fault tolerance (wire resume). The client side reports its
 	// circuit-breaker surface (reconnects, resends, heartbeats missed);
 	// the server side reports resume traffic (sessions re-attached,
 	// duplicate batches discarded, handshakes refused). Per-session
@@ -108,7 +108,7 @@ type Stats struct {
 	Resumes           uint64 `json:"resumes,omitempty"`            // sessions successfully re-attached (server)
 	HandshakeRefusals uint64 `json:"handshake_refusals,omitempty"` // connections refused before a session existed (server)
 
-	// Block compression (wire protocol v3, CapCompress). Both ends
+	// Block compression (wire CapCompress). Both ends
 	// report the same three counters: compressed event blocks carried,
 	// their payload bytes on the wire, and the raw record-form bytes
 	// they stand for — WireBytesRaw / WireBytesBlocks is the achieved

@@ -277,7 +277,7 @@ func (s *Source) stream(f *follower) error {
 
 	conn.SetDeadline(time.Now().Add(s.cfg.DialTimeout))
 	bw := bufio.NewWriter(conn)
-	if err := wire.WriteMagicVersion(bw, wire.V3); err != nil {
+	if err := wire.WriteMagic(bw); err != nil {
 		return err
 	}
 	hello := wire.EncodeReplHello(wire.ReplHello{SourceID: s.cfg.Log.ID(), Key: s.cfg.Key})

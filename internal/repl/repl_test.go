@@ -32,7 +32,7 @@ func startFollower(t *testing.T, dir, key string) (addr string, rs *ReplicaSet, 
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				if _, err := wire.ReadMagicVersion(conn); err != nil {
+				if err := wire.ReadMagic(conn); err != nil {
 					return
 				}
 				ft, payload, err := wire.ReadFrame(conn, nil)
@@ -66,7 +66,7 @@ func restartFollower(t *testing.T, addr, dir, key string) (*ReplicaSet, func()) 
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				if _, err := wire.ReadMagicVersion(conn); err != nil {
+				if err := wire.ReadMagic(conn); err != nil {
 					return
 				}
 				ft, payload, err := wire.ReadFrame(conn, nil)
@@ -345,7 +345,7 @@ func BenchmarkReplicatedPut(b *testing.B) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				if _, err := wire.ReadMagicVersion(conn); err != nil {
+				if err := wire.ReadMagic(conn); err != nil {
 					return
 				}
 				ft, payload, err := wire.ReadFrame(conn, nil)

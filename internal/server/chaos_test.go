@@ -42,24 +42,22 @@ func startChaosServer(t *testing.T, cfg server.Config, fcfg faults.Config) (*ser
 // sequencing is exercised, fast reconnects, and a budget generous
 // enough that the injector's MaxFaults — not the client — decides when
 // the weather clears.
-func chaosOpts() client.Options {
-	return client.Options{
-		FrameEvents: 64,
+func chaosOpts() []client.Option {
+	return []client.Option{
+		client.WithFrameEvents(64),
 		// Corruption can garble a handshake into a silent stall (the
 		// server blocks on a phantom length prefix); a short dial timeout
 		// turns each such stall into a quick retry on loopback.
-		DialTimeout:   250 * time.Millisecond,
-		FinishTimeout: 30 * time.Second,
-		WriteTimeout:  2 * time.Second,
+		client.WithDialTimeout(250 * time.Millisecond),
+		client.WithFinishTimeout(30 * time.Second),
+		client.WithWriteTimeout(2 * time.Second),
 		// A fast heartbeat keeps the tests quick: a corrupted length
 		// prefix can leave a receiver blocked waiting for phantom bytes,
 		// and the next heartbeat (or its ack) is what unsticks it.
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatMisses:   2,
-		MaxAttempts:       200,
-		BackoffBase:       time.Millisecond,
-		BackoffMax:        20 * time.Millisecond,
-		RetainAll:         true,
+		client.WithHeartbeat(50*time.Millisecond, 2),
+		client.WithMaxAttempts(200),
+		client.WithBackoff(time.Millisecond, 20*time.Millisecond),
+		client.WithRetainAll(),
 	}
 }
 
@@ -92,7 +90,7 @@ func TestChaosParity(t *testing.T) {
 				_, addr := startChaosServer(t,
 					server.Config{ResumeWindow: 10 * time.Second},
 					faults.Config{Seed: seed, Classes: class, Every: 2, MaxFaults: 20, MaxDelay: 500 * time.Microsecond})
-				sess, err := client.DialOptions(addr, chaosOpts())
+				sess, err := client.Dial(addr, chaosOpts()...)
 				if err != nil {
 					t.Fatalf("seed %d: dial through %v faults: %v", seed, class, err)
 				}
@@ -144,7 +142,7 @@ func TestChaosParityCorpus(t *testing.T) {
 				_, addr := startChaosServer(t,
 					server.Config{ResumeWindow: 10 * time.Second},
 					faults.Config{Seed: fseed, Classes: faults.All, Every: 2, MaxFaults: 15, MaxDelay: 500 * time.Microsecond})
-				sess, err := client.DialOptions(addr, chaosOpts())
+				sess, err := client.Dial(addr, chaosOpts()...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,13 +169,11 @@ func TestChaosParityCorpus(t *testing.T) {
 // ErrPartial — never hang.
 func TestRetryBudgetExhausted(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
-	sess, err := client.DialOptions(addr, client.Options{
-		MaxAttempts:   3,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    5 * time.Millisecond,
-		FinishTimeout: 10 * time.Second,
-		RetainAll:     true,
-	})
+	sess, err := client.Dial(addr,
+		client.WithMaxAttempts(3),
+		client.WithBackoff(time.Millisecond, 5*time.Millisecond),
+		client.WithFinishTimeout(10*time.Second),
+		client.WithRetainAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,14 +231,12 @@ func TestServerRestartResume(t *testing.T) {
 	}
 	local := renderJSON(t, d.Report(), localTasks, nil)
 
-	sess, err := client.DialOptions(addr, client.Options{
-		FrameEvents:   64,
-		FinishTimeout: 30 * time.Second,
-		MaxAttempts:   100,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    20 * time.Millisecond,
-		RetainAll:     true,
-	})
+	sess, err := client.Dial(addr,
+		client.WithFrameEvents(64),
+		client.WithFinishTimeout(30*time.Second),
+		client.WithMaxAttempts(100),
+		client.WithBackoff(time.Millisecond, 20*time.Millisecond),
+		client.WithRetainAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,13 +309,11 @@ func TestResumeAfterConnKill(t *testing.T) {
 	}
 	local := renderJSON(t, d.Report(), localTasks, nil)
 
-	sess, err := client.DialOptions(addr, client.Options{
-		FrameEvents:   32,
-		FinishTimeout: 20 * time.Second,
-		MaxAttempts:   50,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    10 * time.Millisecond,
-	})
+	sess, err := client.Dial(addr,
+		client.WithFrameEvents(32),
+		client.WithFinishTimeout(20*time.Second),
+		client.WithMaxAttempts(50),
+		client.WithBackoff(time.Millisecond, 10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,106 +338,103 @@ func TestResumeAfterConnKill(t *testing.T) {
 	}
 }
 
-// collectSink gathers events so a test can replay them by hand.
-type collectSink struct{ into *[]fj.Event }
-
-func (c *collectSink) Event(e fj.Event) { *c.into = append(*c.into, e) }
-
-// TestV1ClientCompat drives the server with a hand-rolled protocol-v1
-// stream — v1 magic, tokenless Hello, unsequenced Events — and checks
-// the v2 server still answers it exactly like PR 4's server did.
-func TestV1ClientCompat(t *testing.T) {
-	_, addr := startServer(t, server.Config{})
-	files, err := filepath.Glob(filepath.Join("..", "..", "cmd", "race2d", "testdata", "*.fj"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no corpus programs: %v", err)
+// TestResumeSupersedesStaleConnection: a client that reconnects before
+// the server noticed its old connection die presents its resume token
+// while the session is still attached to that connection. The resume
+// must win — the old connection is closed and the session adopted at
+// the next unacknowledged sequence — rather than be refused as an
+// unknown token, which would cost a client without RetainAll its
+// session.
+func TestResumeSupersedesStaleConnection(t *testing.T) {
+	srv, addr := startServer(t, server.Config{ResumeWindow: 10 * time.Second})
+	tr := &fj.Trace{}
+	if _, err := (workload.Pipeline{Stages: 3, Items: 20, Shared: true}).Run(tr); err != nil {
+		t.Fatal(err)
 	}
-	for _, file := range files {
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			data, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := prog.Parse(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := race2d.NewEngineSink(race2d.Engine2D)
-			localRes, err := prog.Exec(p, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			local := renderJSON(t, d.Report(), localRes.Tasks, localRes.LocName)
+	half := len(tr.Events) / 2
 
-			var events []fj.Event
-			remoteRes, err := prog.Exec(p, &collectSink{into: &events})
-			if err != nil {
-				t.Fatal(err)
-			}
+	handshake := func(token uint64) (net.Conn, wire.Welcome) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := wire.WriteMagic(conn); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{Token: token})); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := wire.ReadFrame(conn, nil)
+		if err != nil || ft != wire.FrameWelcome {
+			t.Fatalf("handshake (token %x): got %v %q (%v), want a Welcome", token, ft, payload, err)
+		}
+		w, err := wire.DecodeWelcomeV3(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn, w
+	}
+	sendEvents := func(conn net.Conn, seq uint64, events []fj.Event) {
+		t.Helper()
+		if err := wire.WriteFrame(conn, wire.FrameEvents, wire.EncodeEventsSeq(nil, seq, events)); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := wire.ReadFrame(conn, nil)
+		if ack, derr := wire.DecodeAck(payload); err != nil || ft != wire.FrameAck || derr != nil || ack != seq {
+			t.Fatalf("events %d: got %v ack %d (%v)", seq, ft, ack, err)
+		}
+	}
 
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if err := wire.WriteMagicVersion(conn, wire.V1); err != nil {
-				t.Fatal(err)
-			}
-			if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHello(wire.Hello{Engine: "2d"})); err != nil {
-				t.Fatal(err)
-			}
-			ft, payload, err := wire.ReadFrame(conn, nil)
-			if err != nil || ft != wire.FrameWelcome {
-				t.Fatalf("welcome: %v %v", ft, err)
-			}
-			if _, err := wire.DecodeWelcome(payload); err != nil {
-				t.Fatalf("v1 welcome decode: %v", err)
-			}
-			// The v1 welcome must not smuggle v2 fields.
-			if _, err := wire.DecodeWelcomeV2(payload); !errors.Is(err, wire.ErrTruncated) {
-				t.Fatalf("v1 welcome carries v2 fields (decode err = %v)", err)
-			}
-			for i := 0; i < len(events); i += 256 {
-				chunk := events[i:min(i+256, len(events))]
-				if err := wire.WriteFrame(conn, wire.FrameEvents, wire.EncodeEvents(nil, chunk)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := wire.WriteFrame(conn, wire.FrameFinish, nil); err != nil {
-				t.Fatal(err)
-			}
-			deadline := time.Now().Add(10 * time.Second)
-			conn.SetReadDeadline(deadline)
-			ft, payload, err = wire.ReadFrame(conn, nil)
-			if err != nil || ft != wire.FrameReport {
-				t.Fatalf("report: %v %v", ft, err)
-			}
-			flags, body, err := wire.DecodeReport(payload)
-			if err != nil || flags != 0 {
-				t.Fatalf("report decode: flags=%d err=%v", flags, err)
-			}
-			rep := &race2d.Report{}
-			if err := json.Unmarshal(body, rep); err != nil {
-				t.Fatal(err)
-			}
-			remote := renderJSON(t, rep, remoteRes.Tasks, remoteRes.LocName)
-			if local != remote {
-				t.Errorf("v1 stream verdict differs\nlocal:\n%s\nremote:\n%s", local, remote)
-			}
-		})
+	old, w1 := handshake(0)
+	sendEvents(old, 1, tr.Events[:half])
+	// The old connection is still open when the token comes back.
+	conn, w2 := handshake(w1.Token)
+	if w2.Session != w1.Session || w2.NextSeq != 2 {
+		t.Fatalf("resume welcome %+v, want session %d at seq 2", w2, w1.Session)
+	}
+	if _, _, err := wire.ReadFrame(old, nil); err == nil {
+		t.Fatal("the superseded connection is still being served")
+	}
+	sendEvents(conn, 2, tr.Events[half:])
+	if err := wire.WriteFrame(conn, wire.FrameFinish, nil); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, err := wire.ReadFrame(conn, nil)
+	if err != nil || ft != wire.FrameReport {
+		t.Fatalf("report: %v %v", ft, err)
+	}
+	flags, body, err := wire.DecodeReport(payload)
+	if err != nil || flags != 0 {
+		t.Fatalf("report decode: flags=%d err=%v", flags, err)
+	}
+	d := race2d.NewEngineSink(race2d.Engine2D)
+	tr.Replay(d)
+	want, err := json.Marshal(d.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Errorf("resumed verdict differs\nlocal:  %s\nremote: %s", want, body)
+	}
+	if st := srv.Stats(); st.Sessions != 1 || st.Resumes != 1 {
+		t.Errorf("sessions=%d resumes=%d, want one session resumed once", st.Sessions, st.Resumes)
 	}
 }
 
 // TestHandshakeFailureModes checks that each malformed-handshake class
 // is answered with a typed wire error and counted in the refusal
-// metric: wrong magic, unsupported version, garbage instead of a Hello
-// frame, and a structurally valid Hello frame with a truncated payload.
+// metric: wrong magic, an unsupported version (including the retired
+// versions 1 and 2), garbage instead of a Hello frame, and a
+// structurally valid Hello frame with a truncated payload.
 func TestHandshakeFailureModes(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
-	magicV2 := wire.MagicFor(wire.V2)
-	badVersion := wire.MagicFor(99)
+	magicFor := func(version byte) []byte { return []byte{'R', 'D', 'S', version} }
+	hello := wire.AppendFrame(nil, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{}))
 	truncatedHello := wire.AppendFrame(nil, wire.FrameHello,
-		wire.EncodeHello(wire.Hello{Engine: "fasttrack", BatchSize: 64})[:1])
+		wire.EncodeHelloV3(wire.Hello{Engine: "fasttrack", BatchSize: 64})[:1])
 
 	cases := []struct {
 		name string
@@ -453,9 +442,11 @@ func TestHandshakeFailureModes(t *testing.T) {
 		want string // substring of the Error frame payload
 	}{
 		{"wrong-magic", []byte("HTTP/1.1 GET /\r\n"), wire.ErrBadMagic.Error()},
-		{"unsupported-version", append(badVersion[:], wire.AppendFrame(nil, wire.FrameHello, wire.EncodeHello(wire.Hello{}))...), wire.ErrVersion.Error()},
-		{"garbage-before-hello", append(magicV2[:], bytes.Repeat([]byte{0xFF}, 64)...), "reading hello"},
-		{"hello-truncated", append(magicV2[:], truncatedHello...), "malformed hello"},
+		{"unsupported-version", append(magicFor(99), hello...), wire.ErrVersion.Error()},
+		{"retired-version-1", append(magicFor(1), hello...), wire.ErrVersion.Error()},
+		{"retired-version-2", append(magicFor(2), hello...), wire.ErrVersion.Error()},
+		{"garbage-before-hello", append(wire.Magic[:], bytes.Repeat([]byte{0xFF}, 64)...), "reading hello"},
+		{"hello-truncated", append(wire.Magic[:], truncatedHello...), "malformed hello"},
 	}
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -19,40 +19,39 @@
 // Report frame flagged Partial — a coherent verdict for the prefix of
 // the stream the detector consumed.
 //
-// # Fault tolerance (protocol v2)
+// # Fault tolerance
 //
-// The server speaks wire protocol v1 and v2, negotiated by the magic's
-// version byte. A v2 session numbers its Events frames with contiguous
-// sequence numbers and the server acknowledges the highest contiguously
-// ingested sequence after every Events (and Heartbeat) frame. When a v2
-// connection dies mid-stream the session is not torn down: it is
-// suspended — queue, engine, and sequence cursor intact — for up to
-// ResumeWindow. A reconnecting client presents the resume token from
-// its Welcome; the server adopts the new connection, tells the client
-// the next sequence it expects, and the client resends from there.
-// Duplicate sequences (resent batches the server already ingested) are
-// discarded, so the engine sees every event exactly once and the
-// verdict is byte-identical to an undisturbed run — any prefix of the
-// stream is a coherent detector state, so re-extending it from the last
-// acknowledged point is always safe. Reports of finished v2 sessions
-// are cached for ResumeWindow so a client that lost the connection
-// after Finish but before the Report can resume and still collect it.
+// The server speaks one wire protocol version (wire.Version); any other
+// version byte in the magic is refused with the documented
+// wire.ErrVersion handshake refusal. A session numbers its Events frames
+// with contiguous sequence numbers and the server acknowledges the
+// highest contiguously ingested sequence after every Events (and
+// Heartbeat) frame. When a connection dies mid-stream the session is
+// not torn down: it is suspended — queue, engine, and sequence cursor
+// intact — for up to ResumeWindow. A reconnecting client presents the
+// resume token from its Welcome; the server adopts the new connection,
+// tells the client the next sequence it expects, and the client resends
+// from there. Duplicate sequences (resent batches the server already
+// ingested) are discarded, so the engine sees every event exactly once
+// and the verdict is byte-identical to an undisturbed run — any prefix
+// of the stream is a coherent detector state, so re-extending it from
+// the last acknowledged point is always safe. Reports of finished
+// sessions are cached for ResumeWindow so a client that lost the
+// connection after Finish but before the Report can resume and still
+// collect it.
 //
-// # Wire compression (protocol v3)
+// # Wire compression
 //
-// A v3 session negotiates capabilities in the handshake; when the
-// server grants CapCompress (the default — Config.NoCompress withholds
-// it) the client ships event batches as compressed EventsBlock frames.
-// Blocks carry the same sequence numbers as v2 Events frames and are
-// acked, deduplicated and resumed identically; each block is
-// self-contained, so a block resent to a restarted server decodes to
-// the same events. Config.MaxVersion pins the server to an older
-// protocol; newer clients are refused with the documented version
-// error, which they answer by downgrading.
+// A session negotiates capabilities in the handshake; when the server
+// grants CapCompress (the default — Config.NoCompress withholds it) the
+// client ships event batches as compressed EventsBlock frames. Blocks
+// carry the same sequence numbers as Events frames and are acked,
+// deduplicated and resumed identically; each block is self-contained,
+// so a block resent to a restarted server decodes to the same events.
 //
 // # Durable reports, tenants and quotas
 //
-// Every cleanly finished v2+ session's Report is persisted to
+// Every cleanly finished session's Report is persisted to
 // Config.Store before the Report frame is written, so an acked verdict
 // survives the process: a client that lost the Report — even to a
 // server SIGKILL — resumes by token against the restarted server and
@@ -64,7 +63,7 @@
 // damaged record. Retention is the store's: the janitor calls Compact
 // instead of sweeping a cache map.
 //
-// With Config.Tenants set the server requires a v3 "tenant:key"
+// With Config.Tenants set the server requires a "tenant:key"
 // credential in the Hello (wire.CapTenant); a missing or wrong
 // credential is refused with wire.ErrAuth, and per-tenant session and
 // storage quotas are enforced at admission with wire.ErrQuota — both
@@ -113,10 +112,10 @@ type Config struct {
 	// memory budget for buffered, not-yet-detected events.
 	QueueCapacity int
 	// IdleTimeout evicts sessions that deliver no frame for this long.
-	// Zero disables eviction. (v2 clients send heartbeats, so a live
-	// but quiet v2 client is not evicted.)
+	// Zero disables eviction. (Clients send heartbeats, so a live but
+	// quiet client is not evicted.)
 	IdleTimeout time.Duration
-	// ResumeWindow bounds how long a suspended v2 session (and the
+	// ResumeWindow bounds how long a suspended session (and the
 	// cached Report of a finished one) survives awaiting a resume.
 	// <= 0 means DefaultResumeWindow.
 	ResumeWindow time.Duration
@@ -131,13 +130,7 @@ type Config struct {
 	// back to serial detection — verdict-identical, just not parallel.
 	// <= 0 means Shards × MaxSessions (never a constraint).
 	ShardBudget int
-	// MaxVersion caps the wire protocol version the server speaks
-	// (0 or out of range means the newest, wire.Version). Connections
-	// announcing a newer version are refused with the documented
-	// version error, which v3+ clients answer by downgrading. The knob
-	// exists for staged fleet rollouts and the negotiation tests.
-	MaxVersion int
-	// NoCompress withholds the CapCompress capability: v3 sessions are
+	// NoCompress withholds the CapCompress capability: sessions are
 	// accepted but granted no compression, so clients fall back to
 	// plain Events frames.
 	NoCompress bool
@@ -147,10 +140,9 @@ type Config struct {
 	// always had. The server owns the store it is given and closes it on
 	// Close/Shutdown.
 	Store store.Store
-	// Tenants, when non-empty, turns on tenant auth: every v3 Hello must
+	// Tenants, when non-empty, turns on tenant auth: every Hello must
 	// carry a "tenant:key" credential matching this table, and the named
-	// quotas are enforced at admission. Sessions below v3 (which cannot
-	// carry a credential) are refused. Empty runs the server open, with
+	// quotas are enforced at admission. Empty runs the server open, with
 	// every session under the anonymous "" tenant. This is only the
 	// table the server STARTS with: SetTenants (the admin surface, or a
 	// SIGHUP reload of -tenant-keys-file) swaps it live.
@@ -231,9 +223,6 @@ func (c Config) normalized() Config {
 	if c.ShardBudget <= 0 {
 		c.ShardBudget = c.Shards * c.MaxSessions
 	}
-	if c.MaxVersion <= 0 || c.MaxVersion > wire.Version {
-		c.MaxVersion = wire.Version
-	}
 	if c.RevokeGrace <= 0 {
 		c.RevokeGrace = DefaultRevokeGrace
 	}
@@ -241,7 +230,7 @@ func (c Config) normalized() Config {
 }
 
 // grantedCaps is the capability set this server is willing to grant a
-// v3 session.
+// session.
 func (c Config) grantedCaps() uint64 {
 	if c.NoCompress {
 		return 0
@@ -307,7 +296,7 @@ type Server struct {
 	quotaRefusals     atomic.Uint64
 	storePutErrors    atomic.Uint64
 
-	// Block-compression accounting (v3 CapCompress sessions): block
+	// Block-compression accounting (CapCompress sessions): block
 	// count, payload bytes on the wire, and the raw record-form bytes
 	// those blocks decoded to — the bandwidth the codec saved.
 	blocks          atomic.Uint64
@@ -629,16 +618,16 @@ var errSessionLimit = errors.New("raced: session limit reached")
 // authenticate resolves the session's tenant from the Hello credential.
 // An open server (empty live tenant table) admits everyone under the
 // anonymous "" tenant and ignores the credential. A tenant-keyed server
-// requires a v3 "tenant:key" credential matching the LIVE table — the
+// requires a "tenant:key" credential matching the LIVE table — the
 // one SetTenants last installed, so a rotation or revocation bites the
 // very next handshake — anything else is wire.ErrAuth. The error text
 // never says which part of the credential failed, and the key
 // comparison is constant-time.
-func (s *Server) authenticate(version int, hello wire.Hello) (string, error) {
+func (s *Server) authenticate(hello wire.Hello) (string, error) {
 	if !s.tenantsEnabled() {
 		return "", nil
 	}
-	if version < wire.V3 || hello.Auth == "" {
+	if hello.Auth == "" {
 		s.authFailures.Add(1)
 		return "", fmt.Errorf("%w (tenant credential required)", wire.ErrAuth)
 	}
@@ -654,7 +643,7 @@ func (s *Server) authenticate(version int, hello wire.Hello) (string, error) {
 
 // admit registers a new session, or refuses it with errDraining,
 // errSessionLimit, or (per-tenant quota exhaustion) wire.ErrQuota.
-func (s *Server) admit(conn net.Conn, version int, hello wire.Hello, tenant string) (*session, error) {
+func (s *Server) admit(conn net.Conn, hello wire.Hello, tenant string) (*session, error) {
 	// Tenant quota and capability decisions read the live table (and the
 	// store) before taking s.mu: both have their own locks and never call
 	// back into the server.
@@ -683,27 +672,23 @@ func (s *Server) admit(conn net.Conn, version int, hello wire.Hello, tenant stri
 		}
 	}
 	s.nextID++
-	var caps uint64
-	if version >= wire.V3 {
-		granted := s.cfg.grantedCaps()
-		if tenantsOn {
-			granted |= wire.CapTenant
-		}
-		caps = hello.Caps & granted
+	granted := s.cfg.grantedCaps()
+	if tenantsOn {
+		granted |= wire.CapTenant
 	}
 	sess := &session{
-		id:      s.nextID,
-		token:   s.tokenBase ^ (s.nextID * 0x9E3779B97F4A7C15),
-		version: version,
-		caps:    caps,
-		hello:   hello,
-		tenant:  tenant,
-		srv:     s,
-		state:   stateRunning,
-		conn:    conn,
-		nextSeq: 1,
-		queue:   fj.NewEventQueue(s.cfg.QueueCapacity, 0),
-		drained: make(chan struct{}),
+		id:       s.nextID,
+		token:    s.tokenBase ^ (s.nextID * 0x9E3779B97F4A7C15),
+		caps:     hello.Caps & granted,
+		hello:    hello,
+		tenant:   tenant,
+		srv:      s,
+		state:    stateRunning,
+		conn:     conn,
+		detached: make(chan struct{}),
+		nextSeq:  1,
+		queue:    fj.NewEventQueue(s.cfg.QueueCapacity, 0),
+		drained:  make(chan struct{}),
 	}
 	sess.lastActive.Store(time.Now().UnixNano())
 	s.sessions[sess.id] = sess
@@ -797,46 +782,32 @@ func (s *Server) refuse(conn net.Conn, err error) {
 	wire.WriteFrame(conn, wire.FrameError, []byte(wire.HandshakeRefusedPrefix+err.Error()))
 }
 
-// handshake reads the magic and opening frame off a fresh connection
-// and negotiates the protocol version. A session opens with FrameHello,
-// decoded into the returned wire.Hello; a replication source opens with
-// FrameReplHello, whose raw payload is returned instead (non-nil) for
-// the replica set to verify — replication shares the listener, so the
-// split happens here, on the first frame's type.
-func (s *Server) handshake(conn net.Conn) (int, wire.Hello, []byte, error) {
-	var hello wire.Hello
-	version, err := wire.ReadMagicVersion(conn)
-	if err != nil {
-		return 0, hello, nil, err
-	}
-	if version > s.cfg.MaxVersion {
-		// Refuse with the documented version error; a newer client
-		// recognizes it in the refusal text and downgrades.
-		return 0, hello, nil, fmt.Errorf("%w: version %d, speak %d..%d",
-			wire.ErrVersion, version, wire.V1, s.cfg.MaxVersion)
+// handshake reads the magic and opening frame off a fresh connection;
+// wire.ReadMagic refuses any version but the one spoken. A session
+// opens with FrameHello, decoded into the returned wire.Hello; a
+// replication source opens with FrameReplHello, whose raw payload is
+// returned instead (non-nil) for the replica set to verify —
+// replication shares the listener, so the split happens here, on the
+// first frame's type.
+func (s *Server) handshake(conn net.Conn) (wire.Hello, []byte, error) {
+	if err := wire.ReadMagic(conn); err != nil {
+		return wire.Hello{}, nil, err
 	}
 	ft, payload, err := wire.ReadFrame(conn, nil)
 	if err != nil {
-		return 0, hello, nil, fmt.Errorf("raced: reading hello: %w", err)
+		return wire.Hello{}, nil, fmt.Errorf("raced: reading hello: %w", err)
 	}
 	if ft == wire.FrameReplHello && s.cfg.Replicas != nil {
-		return version, hello, payload, nil
+		return wire.Hello{}, payload, nil
 	}
 	if ft != wire.FrameHello {
-		return 0, hello, nil, fmt.Errorf("raced: expected hello frame, got %v", ft)
+		return wire.Hello{}, nil, fmt.Errorf("raced: expected hello frame, got %v", ft)
 	}
-	switch {
-	case version >= wire.V3:
-		hello, err = wire.DecodeHelloV3(payload)
-	case version >= wire.V2:
-		hello, err = wire.DecodeHelloV2(payload)
-	default:
-		hello, err = wire.DecodeHello(payload)
-	}
+	hello, err := wire.DecodeHelloV3(payload)
 	if err != nil {
-		return 0, hello, nil, fmt.Errorf("raced: malformed hello: %w", err)
+		return wire.Hello{}, nil, fmt.Errorf("raced: malformed hello: %w", err)
 	}
-	return version, hello, nil, nil
+	return hello, nil, nil
 }
 
 // handle runs one connection from accept to close: handshake, then
@@ -844,7 +815,7 @@ func (s *Server) handshake(conn net.Conn) (int, wire.Hello, []byte, error) {
 // replication stream, or a refusal.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	version, hello, replHello, err := s.handshake(conn)
+	hello, replHello, err := s.handshake(conn)
 	if err != nil {
 		if errors.Is(err, wire.ErrEmptyHandshake) {
 			// A connect immediately closed is a TCP health probe (load
@@ -867,7 +838,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return
 	}
-	tenant, err := s.authenticate(version, hello)
+	tenant, err := s.authenticate(hello)
 	if err != nil {
 		// Auth refusals ride the handshake-refusal prefix like every
 		// other pre-session refusal, but carry the ErrAuth text, which
@@ -879,8 +850,8 @@ func (s *Server) handle(conn net.Conn) {
 		wire.WriteFrame(conn, wire.FrameError, []byte(wire.HandshakeRefusedPrefix+err.Error()))
 		return
 	}
-	if version >= wire.V2 && hello.Token != 0 {
-		s.resume(conn, version, hello, tenant)
+	if hello.Token != 0 {
+		s.resume(conn, hello, tenant)
 		return
 	}
 
@@ -894,7 +865,7 @@ func (s *Server) handle(conn net.Conn) {
 		wire.WriteFrame(conn, wire.FrameError, []byte(err.Error()))
 		return
 	}
-	sess, err := s.admit(conn, version, hello, tenant)
+	sess, err := s.admit(conn, hello, tenant)
 	if err != nil {
 		s.sessionsRejected.Add(1)
 		conn.SetWriteDeadline(time.Now().Add(drainGrace))
@@ -909,15 +880,74 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	sess.shards = s.acquireShards(eng)
 	sess.startConsumer(eng)
-	s.logf("session %d: open (v%d engine=%s batch=%d shards=%d) from %v",
-		sess.id, version, eng, hello.BatchSize, sess.shards, conn.RemoteAddr())
+	s.logf("session %d: open (engine=%s batch=%d shards=%d) from %v",
+		sess.id, eng, hello.BatchSize, sess.shards, conn.RemoteAddr())
 	sess.serve(conn)
 }
 
-// resume hands a reconnecting v2+ client back its suspended session (or
+// resume hands a reconnecting client back its suspended session (or
 // its persisted Report, if the session already finished — served from
 // the store, so it survives a server restart).
-func (s *Server) resume(conn net.Conn, version int, hello wire.Hello, tenant string) {
+//
+// A client often notices a dead connection before the server does — its
+// first reconnect has no backoff — so its token can arrive while the
+// session is still attached to the old connection. The token proves
+// ownership: resume closes the old connection, waits for its frame loop
+// to suspend the session (or to finish it, if its Finish was already
+// read), and looks again.
+func (s *Server) resume(conn net.Conn, hello wire.Hello, tenant string) {
+	for attempt := 0; ; attempt++ {
+		if s.resumeFinished(conn, hello, tenant) {
+			return
+		}
+		s.mu.Lock()
+		var target *session
+		for _, sess := range s.sessions {
+			if sess.token == hello.Token && sess.tenant == tenant {
+				target = sess
+				break
+			}
+		}
+		if target != nil && target.state == stateSuspended {
+			// Adopt: the suspended serve loop has fully exited (suspension
+			// is its last act, under this lock), so the session is ours.
+			// The session re-pins to the capabilities of the new handshake
+			// (intersected with what was granted before), so a client that
+			// reconnected offering less gets no stale capability.
+			target.state = stateRunning
+			target.conn = conn
+			target.detached = make(chan struct{})
+			target.caps &= hello.Caps
+			s.mu.Unlock()
+			s.resumes.Add(1)
+			target.lastActive.Store(time.Now().UnixNano())
+			s.logf("session %d: resumed from %v (next seq %d)", target.id, conn.RemoteAddr(), target.nextSeq)
+			target.serve(conn)
+			return
+		}
+		if target == nil || attempt > 0 {
+			s.mu.Unlock()
+			break
+		}
+		old, detached := target.conn, target.detached
+		s.mu.Unlock()
+		s.logf("session %d: resume from %v supersedes its old connection", target.id, conn.RemoteAddr())
+		old.Close()
+		select {
+		case <-detached:
+		case <-time.After(drainGrace):
+		}
+	}
+	s.logf("resume refused from %v: unknown token", conn.RemoteAddr())
+	conn.SetWriteDeadline(time.Now().Add(drainGrace))
+	wire.WriteFrame(conn, wire.FrameError, []byte(wire.ErrUnknownResume.Error()))
+}
+
+// resumeFinished answers a resume from the report store (or a hosted
+// replica): the persisted Report of a finished session, an auth refusal
+// for a token of another tenant, or the typed tamper refusal. Reports
+// whether it answered; false means the store does not know the token.
+func (s *Server) resumeFinished(conn net.Conn, hello wire.Hello, tenant string) bool {
 	rec, err := s.store.Get(hello.Token)
 	if err != nil && !errors.Is(err, store.ErrTampered) && s.cfg.Replicas != nil {
 		// The primary store does not know the token, but a replica this
@@ -938,23 +968,18 @@ func (s *Server) resume(conn net.Conn, version int, hello wire.Hello, tenant str
 			s.logf("resume refused from %v: token crosses tenants", conn.RemoteAddr())
 			conn.SetWriteDeadline(time.Now().Add(drainGrace))
 			wire.WriteFrame(conn, wire.FrameError, []byte(wire.HandshakeRefusedPrefix+wire.ErrAuth.Error()))
-			return
+			return true
 		}
 		s.resumes.Add(1)
 		s.logf("session %d: resume of finished session, re-sending report", rec.Session)
 		conn.SetWriteDeadline(time.Now().Add(drainGrace))
+		// The resumed stream is done — no more event frames — so no
+		// capability needs granting.
 		welcome := wire.Welcome{Session: rec.Session, Token: hello.Token, NextSeq: rec.NextSeq}
-		wpayload := wire.EncodeWelcomeV2(welcome)
-		if version >= wire.V3 {
-			// The resumed stream is done — no more event frames — so no
-			// capability needs granting, but the client decodes the
-			// Welcome in the shape of the version it reconnected with.
-			wpayload = wire.EncodeWelcomeV3(welcome)
-		}
-		if wire.WriteFrame(conn, wire.FrameWelcome, wpayload) == nil {
+		if wire.WriteFrame(conn, wire.FrameWelcome, wire.EncodeWelcomeV3(welcome)) == nil {
 			wire.WriteFrame(conn, wire.FrameReport, wire.EncodeReport(rec.Flags, rec.JSON))
 		}
-		return
+		return true
 	case errors.Is(err, store.ErrTampered):
 		// The store cannot prove anything about this token: the log is
 		// damaged at or before where the record would live. Refuse with
@@ -963,42 +988,9 @@ func (s *Server) resume(conn net.Conn, version int, hello wire.Hello, tenant str
 		s.logf("resume refused from %v: %v", conn.RemoteAddr(), err)
 		conn.SetWriteDeadline(time.Now().Add(drainGrace))
 		wire.WriteFrame(conn, wire.FrameError, []byte(err.Error()))
-		return
+		return true
 	}
-	s.mu.Lock()
-	var target *session
-	for _, sess := range s.sessions {
-		if sess.token == hello.Token && sess.state == stateSuspended && sess.tenant == tenant {
-			target = sess
-			break
-		}
-	}
-	if target != nil {
-		// Adopt: the suspended serve loop has fully exited (suspension is
-		// its last act, under this lock), so the session is ours. The
-		// session re-pins to the version and capabilities of the new
-		// handshake (intersected with what was granted before), so a
-		// client that reconnected at a lower version gets a coherently
-		// shaped Welcome and no stale capability.
-		target.state = stateRunning
-		target.conn = conn
-		target.version = version
-		if version >= wire.V3 {
-			target.caps &= hello.Caps
-		} else {
-			target.caps = 0
-		}
-		s.mu.Unlock()
-		s.resumes.Add(1)
-		target.lastActive.Store(time.Now().UnixNano())
-		s.logf("session %d: resumed from %v (next seq %d)", target.id, conn.RemoteAddr(), target.nextSeq)
-		target.serve(conn)
-		return
-	}
-	s.mu.Unlock()
-	s.logf("resume refused from %v: unknown token", conn.RemoteAddr())
-	conn.SetWriteDeadline(time.Now().Add(drainGrace))
-	wire.WriteFrame(conn, wire.FrameError, []byte(wire.ErrUnknownResume.Error()))
+	return false
 }
 
 // Draining reports whether the server has stopped accepting fresh
@@ -1339,18 +1331,17 @@ type sessState int
 
 const (
 	stateRunning   sessState = iota // a connection is attached and serving
-	stateSuspended                  // v2: connection lost, awaiting resume
+	stateSuspended                  // connection lost, awaiting resume
 	stateDone                       // finished or torn down
 )
 
 type session struct {
-	id      uint64
-	token   uint64
-	version int
-	caps    uint64 // granted v3 capabilities (0 below v3)
-	hello   wire.Hello
-	tenant  string // authenticated tenant ("" on an open server)
-	srv     *Server
+	id     uint64
+	token  uint64
+	caps   uint64 // granted capabilities
+	hello  wire.Hello
+	tenant string // authenticated tenant ("" on an open server)
+	srv    *Server
 
 	queue    *fj.EventQueue
 	drained  chan struct{} // closed when the consumer finished feeding the engine
@@ -1365,8 +1356,9 @@ type session struct {
 	// goroutine while running; it is published under the lock at suspend
 	// and read back under it at adoption, which orders the handoff.
 	state          sessState
-	conn           net.Conn // nil while suspended
-	nextSeq        uint64   // next expected v2 events sequence
+	conn           net.Conn      // nil while suspended
+	detached       chan struct{} // closed when the loop serving conn exits
+	nextSeq        uint64        // next expected events sequence
 	resumeDeadline time.Time
 	// revokeDeadline, when non-zero, marks this session's tenant as
 	// removed from the live table: the janitor evicts the session once
@@ -1444,7 +1436,7 @@ func (sess *session) interrupted(err error) bool {
 		(sess.draining.Load() || sess.evicting.Load())
 }
 
-// suspend parks a v2 session whose connection died, keeping its
+// suspend parks a session whose connection died, keeping its
 // pipeline alive for ResumeWindow. Reports whether the session was
 // suspended; false means the server is closing and the caller must
 // tear down instead.
@@ -1466,31 +1458,21 @@ func (sess *session) suspend(nextSeq uint64, cause error) bool {
 }
 
 // serve runs the frame loop for one connection attached to this
-// session. For a v2 session it may be called again later with the next
-// connection after a suspend/resume cycle.
+// session. It may be called again later with the next connection after
+// a suspend/resume cycle.
 func (sess *session) serve(conn net.Conn) {
 	srv := sess.srv
 
 	srv.mu.Lock()
 	nextSeq := sess.nextSeq
+	defer close(sess.detached)
 	srv.mu.Unlock()
 
-	welcome := wire.Welcome{Session: sess.id}
-	var wpayload []byte
-	switch {
-	case sess.version >= wire.V3:
-		welcome.Token, welcome.NextSeq, welcome.Caps = sess.token, nextSeq, sess.caps
-		wpayload = wire.EncodeWelcomeV3(welcome)
-	case sess.version >= wire.V2:
-		welcome.Token, welcome.NextSeq = sess.token, nextSeq
-		wpayload = wire.EncodeWelcomeV2(welcome)
-	default:
-		wpayload = wire.EncodeWelcome(welcome)
-	}
+	welcome := wire.Welcome{Session: sess.id, Token: sess.token, NextSeq: nextSeq, Caps: sess.caps}
 	conn.SetWriteDeadline(time.Now().Add(drainGrace))
-	if err := wire.WriteFrame(conn, wire.FrameWelcome, wpayload); err != nil {
+	if err := wire.WriteFrame(conn, wire.FrameWelcome, wire.EncodeWelcomeV3(welcome)); err != nil {
 		srv.logf("session %d: welcome: %v", sess.id, err)
-		if sess.version >= wire.V2 && sess.suspend(nextSeq, err) {
+		if sess.suspend(nextSeq, err) {
 			return
 		}
 		sess.teardown(conn, nil)
@@ -1524,9 +1506,8 @@ frames:
 				slab []fj.Event
 				err  error
 			)
-			switch {
-			case ft == wire.FrameEventsBlock:
-				if sess.version < wire.V3 || sess.caps&wire.CapCompress == 0 {
+			if ft == wire.FrameEventsBlock {
+				if sess.caps&wire.CapCompress == 0 {
 					readErr = errors.New("raced: compressed block on a session without the compress capability")
 					protoErr = true
 					break frames
@@ -1538,20 +1519,8 @@ frames:
 					srv.wireBytesBlocks.Add(uint64(len(payload)))
 					srv.wireBytesRaw.Add(uint64(rawLen))
 				}
-			case sess.version >= wire.V2:
+			} else {
 				seq, slab, err = wire.DecodeEventsSeq(sess.queue.NewSlab(), payload)
-			default:
-				// v1: unsequenced, unacknowledged.
-				slab, err = wire.DecodeEvents(sess.queue.NewSlab(), payload)
-				if err != nil {
-					readErr, protoErr = err, true
-					break frames
-				}
-				if err := sess.queue.Push(slab); err != nil {
-					readErr = err
-					break frames
-				}
-				continue
 			}
 			if err != nil {
 				readErr, protoErr = err, true
@@ -1580,11 +1549,6 @@ frames:
 				break frames
 			}
 		case wire.FrameHeartbeat:
-			if sess.version < wire.V2 {
-				readErr = fmt.Errorf("server: unexpected %v frame mid-stream", ft)
-				protoErr = true
-				break frames
-			}
 			// Keepalive: answer with the current ack so the client's
 			// dead-peer detector sees a live server.
 			if err := sess.writeAck(conn, nextSeq-1); err != nil {
@@ -1601,9 +1565,9 @@ frames:
 		}
 	}
 
-	// A dead v2 transport suspends the session — everything else tears
-	// it down (after the engine consumed what was buffered).
-	if readErr != nil && !finished && !protoErr && sess.version >= wire.V2 &&
+	// A dead transport suspends the session — everything else tears it
+	// down (after the engine consumed what was buffered).
+	if readErr != nil && !finished && !protoErr &&
 		!sess.evicting.Load() && !sess.draining.Load() {
 		if sess.suspend(nextSeq, readErr) {
 			return
@@ -1665,13 +1629,13 @@ func (sess *session) finish(conn net.Conn, nextSeq uint64, finished bool, readEr
 	}
 	payload := wire.EncodeReport(flags, body)
 
-	// Persist the verdict of a cleanly finished v2+ session before
+	// Persist the verdict of a cleanly finished session before
 	// trying to deliver it: if the connection dies mid-Report — or the
 	// whole process dies — the client resumes and collects the identical
 	// bytes from the store. Delivery is never blocked on a store
 	// failure: the client holding the connection still gets its Report,
 	// and the failure is logged and counted.
-	if finished && sess.version >= wire.V2 {
+	if finished {
 		err := srv.store.Put(store.Record{
 			Token:   sess.token,
 			Session: sess.id,

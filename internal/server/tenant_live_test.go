@@ -314,7 +314,7 @@ func TestStoreReplicaFallbackServing(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wire.WriteMagicVersion(conn, byte(wire.V3)); err != nil {
+	if err := wire.WriteMagic(conn); err != nil {
 		t.Fatal(err)
 	}
 	hello := wire.EncodeReplHello(wire.ReplHello{SourceID: "feedc0de", Key: "rk"})
@@ -343,7 +343,7 @@ func TestStoreReplicaFallbackServing(t *testing.T) {
 	}
 	defer conn2.Close()
 	conn2.SetDeadline(time.Now().Add(5 * time.Second))
-	wire.WriteMagicVersion(conn2, byte(wire.V3))
+	wire.WriteMagic(conn2)
 	wire.WriteFrame(conn2, wire.FrameReplHello, wire.EncodeReplHello(wire.ReplHello{SourceID: "feedc0de", Key: "bad"}))
 	ft, payload, err = wire.ReadFrame(conn2, nil)
 	if err != nil {

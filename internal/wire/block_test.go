@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -211,14 +210,6 @@ func TestHelloWelcomeV3RoundTrip(t *testing.T) {
 	if err != nil || got != h {
 		t.Fatalf("hello v3 round trip: %+v -> %+v (%v)", h, got, err)
 	}
-	// A v2 decoder must still parse the v2 prefix of a v3 hello.
-	gotV2, err := DecodeHelloV2(EncodeHelloV3(h))
-	if err != nil {
-		t.Fatalf("v2 decode of v3 hello: %v", err)
-	}
-	if gotV2.Engine != h.Engine || gotV2.Token != h.Token || gotV2.Caps != 0 {
-		t.Fatalf("v2 decode of v3 hello: %+v", gotV2)
-	}
 	// The trailing auth credential rides after RouteKey and round-trips;
 	// a hello without it decodes with Auth empty (older senders).
 	ha := Hello{Engine: "2d", Caps: CapCompress | CapTenant, RouteKey: 9, Auth: "acme:s3cret"}
@@ -226,14 +217,18 @@ func TestHelloWelcomeV3RoundTrip(t *testing.T) {
 	if err != nil || gotA != ha {
 		t.Fatalf("hello v3 auth round trip: %+v -> %+v (%v)", ha, gotA, err)
 	}
-	// A pre-Auth v3 payload (v2 form + caps + routekey only) still
-	// decodes: both trailing fields are optional.
-	old := EncodeHelloV2(ha)
-	old = binary.AppendUvarint(old, ha.Caps)
-	old = binary.AppendUvarint(old, ha.RouteKey)
-	gotOld, err := DecodeHelloV3(old)
-	if err != nil || gotOld.Auth != "" || gotOld.RouteKey != ha.RouteKey {
-		t.Fatalf("pre-auth v3 hello: %+v (%v)", gotOld, err)
+	// A pre-Auth payload (ends after the route key) and a pre-RouteKey
+	// payload (ends after the caps) still decode: both trailing fields
+	// are optional. Route key 9 and an empty credential are one byte
+	// each on the wire.
+	full := EncodeHelloV3(Hello{Engine: "2d", Caps: CapCompress, RouteKey: 9})
+	gotOld, err := DecodeHelloV3(full[:len(full)-1])
+	if err != nil || gotOld.Auth != "" || gotOld.RouteKey != 9 {
+		t.Fatalf("pre-auth hello: %+v (%v)", gotOld, err)
+	}
+	gotOlder, err := DecodeHelloV3(full[:len(full)-2])
+	if err != nil || gotOlder.RouteKey != 0 || gotOlder.Caps != CapCompress {
+		t.Fatalf("pre-route-key hello: %+v (%v)", gotOlder, err)
 	}
 
 	w := Welcome{Session: 3, Token: 0xbeef, NextSeq: 17, Caps: CapCompress}
@@ -241,8 +236,9 @@ func TestHelloWelcomeV3RoundTrip(t *testing.T) {
 	if err != nil || gotW != w {
 		t.Fatalf("welcome v3 round trip: %+v -> %+v (%v)", w, gotW, err)
 	}
-	if _, err := DecodeWelcomeV3(EncodeWelcomeV2(w)); err == nil {
-		t.Fatal("v3 decode of a v2 welcome (missing caps) must error")
+	wp := EncodeWelcomeV3(w)
+	if _, err := DecodeWelcomeV3(wp[:len(wp)-1]); err == nil {
+		t.Fatal("welcome missing its caps must error")
 	}
 }
 
@@ -251,9 +247,11 @@ func TestMagicV3(t *testing.T) {
 	if err := WriteMagic(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ReadMagicVersion(bytes.NewReader(buf.Bytes()))
-	if err != nil || v != V3 {
-		t.Fatalf("ReadMagicVersion = %d, %v; want %d", v, err, V3)
+	if got := buf.Bytes(); !bytes.Equal(got, []byte("RDS\x03")) {
+		t.Fatalf("magic = %q, want \"RDS\\x03\"", got)
+	}
+	if err := ReadMagic(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("ReadMagic: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"repro/internal/fj"
@@ -10,22 +9,26 @@ import (
 
 // FuzzReadFrame feeds arbitrary bytes to the frame reader and, when a
 // frame parses, checks the invariants the server relies on: the payload
-// round-trips through AppendFrame to the same bytes, and an Events
-// payload decodes to events that re-encode/re-decode stably.
+// round-trips through AppendFrame to the same bytes, and an Events,
+// Hello or Welcome payload that decodes re-encodes and re-decodes
+// stably.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, FrameFinish, nil))
-	f.Add(AppendFrame(nil, FrameEvents, EncodeEvents(nil, sampleEvents())))
-	f.Add(AppendFrame(nil, FrameHello, EncodeHello(Hello{Engine: "2d", BatchSize: 64})))
+	f.Add(AppendFrame(nil, FrameEvents, EncodeEventsSeq(nil, 1, sampleEvents())))
+	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64})))
 	f.Add([]byte{byte(FrameEvents), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
-	// v2 vocabulary: sequenced events, resume handshake, acks,
+	// Resume vocabulary: sequenced events, resume handshake, acks,
 	// heartbeats.
 	f.Add(AppendFrame(nil, FrameEvents, EncodeEventsSeq(nil, 3, sampleEvents())))
-	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV2(Hello{Engine: "2d", BatchSize: 64, Token: 0xabcdef})))
-	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcomeV2(Welcome{Session: 9, Token: 1 << 50, NextSeq: 17})))
+	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{
+		Engine: "2d", BatchSize: 64, Token: 0xabcdef,
+		Caps: CapCompress | CapTenant, RouteKey: 1 << 33, Auth: "acme:s3cret",
+	})))
+	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcomeV3(Welcome{Session: 9, Token: 1 << 50, NextSeq: 17})))
 	f.Add(AppendFrame(nil, FrameAck, EncodeAck(1<<20)))
 	f.Add(AppendFrame(nil, FrameHeartbeat, nil))
-	// v3 vocabulary: capability handshakes and compressed blocks.
+	// Capability handshakes and compressed blocks.
 	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64, Token: 7, Caps: CapCompress})))
 	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcomeV3(Welcome{Session: 2, Token: 0xbeef, NextSeq: 1, Caps: CapCompress})))
 	f.Add(AppendFrame(nil, FrameEventsBlock, new(BlockEncoder).AppendBlock(nil, 11, sampleEvents())))
@@ -40,75 +43,88 @@ func FuzzReadFrame(f *testing.F) {
 		if len(again) > len(data) || !bytes.Equal(again, data[:len(again)]) {
 			t.Fatalf("re-encoded frame is not a prefix of the input")
 		}
-		if ft != FrameEvents {
-			return
-		}
-		events, err := DecodeEvents(nil, payload)
-		if err != nil {
-			if errors.Is(err, ErrTruncated) || !errors.Is(err, fj.ErrTruncated) {
-				_ = err // either classification is acceptable; just don't panic
-			}
-			return
-		}
-		reenc := EncodeEvents(nil, events)
-		back, err := DecodeEvents(nil, reenc)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded events failed: %v", err)
-		}
-		if len(back) != len(events) {
-			t.Fatalf("re-decode yielded %d events, want %d", len(back), len(events))
-		}
-		for i := range events {
-			if back[i] != events[i] {
-				t.Fatalf("event %d: %v != %v", i, back[i], events[i])
-			}
+		switch ft {
+		case FrameHello:
+			checkHelloRoundTrip(t, payload)
+		case FrameWelcome:
+			checkWelcomeRoundTrip(t, payload)
+		case FrameEvents:
+			checkEventsRoundTrip(t, payload)
 		}
 	})
 }
 
-// FuzzResume feeds arbitrary bytes to every v2 resume-protocol decoder
-// — the sequence/ack/token vocabulary a hostile or corrupted peer
-// controls — and checks the decoders only ever error, never panic, and
-// that anything they accept round-trips stably through the encoders.
+// FuzzResume feeds arbitrary bytes to every resume-protocol decoder —
+// the handshake/sequence/ack/token vocabulary a hostile or corrupted
+// peer controls — and checks the decoders only ever error, never
+// panic, and that anything they accept round-trips stably through the
+// encoders.
 func FuzzResume(f *testing.F) {
-	f.Add(EncodeHelloV2(Hello{Engine: "2d", BatchSize: 64, Token: 42}))
-	f.Add(EncodeWelcomeV2(Welcome{Session: 1, Token: 0xdead, NextSeq: 2}))
+	f.Add(EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64, Token: 42, Caps: CapCompress | CapTenant, RouteKey: 5, Auth: "t:k"}))
+	f.Add(EncodeWelcomeV3(Welcome{Session: 1, Token: 0xdead, NextSeq: 2, Caps: CapCompress}))
 	f.Add(EncodeAck(7))
 	f.Add(EncodeEventsSeq(nil, 5, sampleEvents()))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if h, err := DecodeHelloV2(data); err == nil {
-			if got, err := DecodeHelloV2(EncodeHelloV2(h)); err != nil || got != h {
-				t.Fatalf("hello v2 round trip: %+v -> %+v (%v)", h, got, err)
-			}
-		}
-		if w, err := DecodeWelcomeV2(data); err == nil {
-			if got, err := DecodeWelcomeV2(EncodeWelcomeV2(w)); err != nil || got != w {
-				t.Fatalf("welcome v2 round trip: %+v -> %+v (%v)", w, got, err)
-			}
-		}
+		checkHelloRoundTrip(t, data)
+		checkWelcomeRoundTrip(t, data)
 		if seq, err := DecodeAck(data); err == nil {
 			if got, err := DecodeAck(EncodeAck(seq)); err != nil || got != seq {
 				t.Fatalf("ack round trip: %d -> %d (%v)", seq, got, err)
 			}
 		}
-		if seq, events, err := DecodeEventsSeq(nil, data); err == nil {
-			if seq == 0 {
-				t.Fatal("decoder accepted sequence 0")
-			}
-			again, back, err := DecodeEventsSeq(nil, EncodeEventsSeq(nil, seq, events))
-			if err != nil || again != seq || len(back) != len(events) {
-				t.Fatalf("events seq round trip: seq %d/%d, %d/%d events (%v)",
-					seq, again, len(events), len(back), err)
-			}
-		}
+		checkEventsRoundTrip(t, data)
 	})
 }
 
+// checkHelloRoundTrip: a Hello payload the decoder accepts must
+// re-encode to one that decodes to the same Hello.
+func checkHelloRoundTrip(t *testing.T, payload []byte) {
+	t.Helper()
+	if h, err := DecodeHelloV3(payload); err == nil {
+		if got, err := DecodeHelloV3(EncodeHelloV3(h)); err != nil || got != h {
+			t.Fatalf("hello round trip: %+v -> %+v (%v)", h, got, err)
+		}
+	}
+}
+
+// checkWelcomeRoundTrip is checkHelloRoundTrip for Welcome payloads.
+func checkWelcomeRoundTrip(t *testing.T, payload []byte) {
+	t.Helper()
+	if w, err := DecodeWelcomeV3(payload); err == nil {
+		if got, err := DecodeWelcomeV3(EncodeWelcomeV3(w)); err != nil || got != w {
+			t.Fatalf("welcome round trip: %+v -> %+v (%v)", w, got, err)
+		}
+	}
+}
+
+// checkEventsRoundTrip: an Events payload the decoder accepts carries a
+// non-zero sequence and re-encodes to the same sequence and events.
+func checkEventsRoundTrip(t *testing.T, payload []byte) {
+	t.Helper()
+	seq, events, err := DecodeEventsSeq(nil, payload)
+	if err != nil {
+		return
+	}
+	if seq == 0 {
+		t.Fatal("decoder accepted sequence 0")
+	}
+	again, back, err := DecodeEventsSeq(nil, EncodeEventsSeq(nil, seq, events))
+	if err != nil || again != seq || len(back) != len(events) {
+		t.Fatalf("events round trip: seq %d/%d, %d/%d events (%v)",
+			seq, again, len(events), len(back), err)
+	}
+	for i := range events {
+		if back[i] != events[i] {
+			t.Fatalf("event %d: %v != %v", i, back[i], events[i])
+		}
+	}
+}
+
 // FuzzDecodeBlock feeds arbitrary bytes to the block decompressor — the
-// payload a hostile or corrupted v3 peer controls — and checks it only
+// payload a hostile or corrupted peer controls — and checks it only
 // ever errors, never panics, and that anything it accepts re-encodes to
 // a block that decodes back to the same events (the codec is stable
 // even if the accepted byte form differs from what our encoder emits).

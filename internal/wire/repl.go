@@ -1,9 +1,9 @@
 package wire
 
-// Replication frame payloads (v3).
+// Replication frame payloads.
 //
 // A raced backend configured with -replicate-to opens an ordinary "RDS"
-// v3 stream to each follower but sends FrameReplHello as its first
+// stream to each follower but sends FrameReplHello as its first
 // frame instead of FrameHello. The follower answers FrameReplWelcome
 // with its exact chain position (next index + running chain hash) —
 // that single round trip IS the anti-entropy protocol: after a follower

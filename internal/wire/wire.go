@@ -22,15 +22,15 @@
 // the stream the detector consumed — a coherent verdict, not a torn
 // one.
 //
-// # Protocol versions
+// # Protocol version and capabilities
 //
-// The magic's fourth byte carries the protocol version. Version 1 is
-// the original fire-and-forget stream: unsequenced Events frames, no
-// acknowledgements, a dead connection kills the session. Version 2 is
-// the fault-tolerant stream, justified by the paper's Theorem 4: any
+// The magic's fourth byte carries the protocol version, and there is
+// one: 3. Any other version byte is refused with an Error frame whose
+// text carries HandshakeRefusedPrefix and the ErrVersion text. The
+// stream is fault tolerant, justified by the paper's Theorem 4: any
 // prefix of the event stream is a coherent detector state, so a session
 // resumed from the last acknowledged event batch replays to an
-// identical verdict. Concretely, in v2:
+// identical verdict. Concretely:
 //
 //   - Hello carries a resume token (zero for a fresh session) and
 //     Welcome answers with the token to present on reconnect plus the
@@ -43,44 +43,32 @@
 //     are discarded, so replay after reconnect is idempotent;
 //   - Heartbeat frames flow both ways to bound dead-peer detection.
 //
-// A v2 server keeps speaking v1 to v1 clients unchanged.
+// Hello and Welcome also carry a capability bitmask; the session's
+// capability set is the intersection of what the client offered and
+// what the server granted, so either side can veto a feature without
+// breaking the handshake. With CapCompress granted, event batches ship
+// as EventsBlock frames, each a self-contained compressed block
+// (delta/varint encoding of task IDs and addresses plus a copy-run
+// layer exploiting the repetitive fork-join structure, with a flate
+// fallback for incompressible blocks — see block.go). Without it they
+// ship as plain Events frames. Blocks carry the same sequence numbers
+// as Events frames and are acked, deduplicated and resent identically,
+// so resume semantics hold at block boundaries; because every block
+// resets its own delta state, a block resent to a freshly restarted
+// server decodes to the same events.
 //
-// Version 3 adds negotiated capabilities. Hello and Welcome grow a
-// capability bitmask; the session's capability set is the intersection
-// of what the client offered and what the server granted, so either
-// side can veto a feature without breaking the handshake. The one v3
-// capability today is CapCompress: event batches ship as EventsBlock
-// frames, each a self-contained compressed block (delta/varint encoding
-// of task IDs and addresses plus a copy-run layer exploiting the
-// repetitive fork-join structure, with a flate fallback for
-// incompressible blocks — see block.go). Blocks carry the same
-// monotonic sequence numbers as v2 Events frames and are acked,
-// deduplicated and resent identically, so resume semantics hold at
-// block boundaries; because every block resets its own delta state, a
-// block resent to a freshly restarted server decodes to the same
-// events.
-//
-// # Version and capability table
-//
-//	version  magic      hello payload            welcome payload          event frames
-//	V1       "RDS\x01"  engine, batch            session                  Events (unsequenced)
-//	V2       "RDS\x02"  + resume token           + token, next seq        Events (seq + acks)
-//	V3       "RDS\x03"  + capability bits        + granted capability     Events, and EventsBlock
-//	                                               bits (intersection)    when CapCompress granted
+//	magic      hello payload                   welcome payload
+//	"RDS\x03"  engine, batch, resume token,    session, token, next seq,
+//	           capability bits, route key,     granted capability bits
+//	           auth credential                 (intersection)
 //
 //	capability   bit     meaning
 //	CapCompress  1<<0    sender may use EventsBlock (compressed) frames
 //	CapTenant    1<<1    hello carries a tenant auth token ("tenant:key")
 //
-// A server capped below a client's version refuses the handshake with
-// an Error frame whose text carries both HandshakeRefusedPrefix and the
-// ErrVersion text; clients treat that refusal as "downgrade and retry",
-// so a v3 client lands on v2 against an older server instead of
-// failing.
+// # Tenant auth (CapTenant)
 //
-// # Tenant auth (v3, CapTenant)
-//
-// A v3 Hello may carry an auth token — the "tenant:key" credential the
+// A Hello may carry an auth token — the "tenant:key" credential the
 // server checks against its -tenant-keys table — as a trailing optional
 // field (after RouteKey), offered under the CapTenant bit. A server
 // running with tenant keys refuses a missing or wrong credential with
@@ -115,20 +103,17 @@ import (
 	"repro/internal/fj"
 )
 
-// Protocol versions. V1 is the original unacknowledged stream; V2 adds
-// sequence numbers, acks, heartbeats and session resume; V3 adds
-// negotiated capabilities (today: block compression). Version is the
-// newest version this package speaks.
+// Protocol version: V3 is the only version this package speaks —
+// sequenced, acknowledged, resumable frames with negotiated
+// capabilities.
 const (
-	V1 = 1
-	V2 = 2
 	V3 = 3
 
-	// Version is the current (newest) protocol version.
+	// Version is the protocol version carried in Magic.
 	Version = V3
 )
 
-// Capability bits (v3). A session's capability set is the intersection
+// Capability bits. A session's capability set is the intersection
 // of the bits the client offered in Hello and the bits the server
 // granted back in Welcome.
 const (
@@ -142,23 +127,21 @@ const (
 	CapTenant uint64 = 1 << 1
 )
 
-// Magic opens every current-version session stream: "RDS" + Version.
+// Magic opens every session stream: "RDS" + Version.
 var Magic = [4]byte{'R', 'D', 'S', Version}
-
-// MagicFor returns the stream-opening magic for a protocol version.
-func MagicFor(version byte) [4]byte {
-	return [4]byte{'R', 'D', 'S', version}
-}
 
 // FrameType tags a frame.
 type FrameType uint8
 
 const (
-	// FrameHello is the client's session request (EncodeHello payload).
+	// FrameHello is the client's session request (EncodeHelloV3
+	// payload).
 	FrameHello FrameType = 1
-	// FrameWelcome is the server's session grant (EncodeWelcome payload).
+	// FrameWelcome is the server's session grant (EncodeWelcomeV3
+	// payload).
 	FrameWelcome FrameType = 2
-	// FrameEvents carries a batch of events (EncodeEvents payload).
+	// FrameEvents carries a sequenced batch of events (EncodeEventsSeq
+	// payload).
 	FrameEvents FrameType = 3
 	// FrameFinish declares the client's stream complete; the server
 	// answers with a Report. Empty payload.
@@ -167,31 +150,31 @@ const (
 	FrameReport FrameType = 5
 	// FrameError carries a fatal session error as UTF-8 text.
 	FrameError FrameType = 6
-	// FrameAck (v2, server → client) names the highest contiguously
+	// FrameAck (server → client) names the highest contiguously
 	// ingested event sequence (EncodeAck payload). The client may drop
 	// acknowledged batches from its replay buffer.
 	FrameAck FrameType = 7
-	// FrameHeartbeat (v2, both directions) is a keepalive. The payload
+	// FrameHeartbeat (both directions) is a keepalive. The payload
 	// is empty; a peer that sees no frame for several heartbeat
 	// intervals may declare the connection dead.
 	FrameHeartbeat FrameType = 8
-	// FrameEventsBlock (v3, CapCompress) carries a batch of events as a
+	// FrameEventsBlock (CapCompress) carries a batch of events as a
 	// self-contained compressed block (BlockEncoder payload). Sequenced,
-	// acked and resent exactly like a v2 Events frame.
+	// acked and resent exactly like an Events frame.
 	FrameEventsBlock FrameType = 9
-	// FrameReplHello (v3, primary → follower) opens a store-replication
+	// FrameReplHello ( primary → follower) opens a store-replication
 	// stream instead of a detection session: it names the source chain
 	// and carries the replication credential (EncodeReplHello payload).
 	FrameReplHello FrameType = 10
-	// FrameReplWelcome (v3, follower → primary) answers a ReplHello with
+	// FrameReplWelcome ( follower → primary) answers a ReplHello with
 	// the follower's exact chain position so the primary can replay from
 	// there (EncodeReplWelcome payload) — the anti-entropy handshake.
 	FrameReplWelcome FrameType = 11
-	// FrameReplRecord (v3, primary → follower) carries one hash-chained
+	// FrameReplRecord ( primary → follower) carries one hash-chained
 	// store record, byte-identical to the source log's on-disk framing
 	// (EncodeReplRecord payload).
 	FrameReplRecord FrameType = 12
-	// FrameReplAck (v3, follower → primary) acknowledges the highest
+	// FrameReplAck ( follower → primary) acknowledges the highest
 	// contiguously applied chain position (EncodeReplAck payload).
 	FrameReplAck FrameType = 13
 )
@@ -280,54 +263,33 @@ const HandshakeRefusedPrefix = "raced: handshake: "
 
 const headerSize = 5 // type byte + uint32 length
 
-// WriteMagic sends the current-version stream-opening magic.
+// WriteMagic sends the stream-opening magic.
 func WriteMagic(w io.Writer) error {
 	_, err := w.Write(Magic[:])
 	return err
 }
 
-// WriteMagicVersion sends the stream-opening magic for the given
-// protocol version (a v1 client writes WriteMagicVersion(w, V1)).
-func WriteMagicVersion(w io.Writer, version byte) error {
-	m := MagicFor(version)
-	_, err := w.Write(m[:])
-	return err
-}
-
-// ReadMagic consumes the stream-opening magic, accepting only the
-// current version. Version-negotiating servers use ReadMagicVersion.
+// ReadMagic consumes the stream-opening magic. This is the one place
+// the protocol version is decided: anything but Magic is ErrBadMagic
+// (not our protocol), ErrVersion (our protocol, a version we do not
+// speak), or ErrEmptyHandshake (a connect-and-close probe).
 func ReadMagic(r io.Reader) error {
-	v, err := ReadMagicVersion(r)
-	if err != nil {
-		return err
-	}
-	if v != Version {
-		return fmt.Errorf("%w: version %d, want %d", ErrVersion, v, Version)
-	}
-	return nil
-}
-
-// ReadMagicVersion consumes the stream-opening magic and returns the
-// protocol version it announces, which is one of V1..Version; anything
-// else is ErrBadMagic (not our protocol) or ErrVersion (our protocol,
-// a version we do not speak).
-func ReadMagicVersion(r io.Reader) (int, error) {
 	var m [4]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
 		if err == io.EOF {
 			// Zero bytes before EOF: a connect-and-close probe, not a
 			// garbled handshake.
-			return 0, fmt.Errorf("wire: read magic: %w", ErrEmptyHandshake)
+			return fmt.Errorf("wire: read magic: %w", ErrEmptyHandshake)
 		}
-		return 0, fmt.Errorf("wire: read magic: %w", wrapEOF(err))
+		return fmt.Errorf("wire: read magic: %w", wrapEOF(err))
 	}
 	if m[0] != 'R' || m[1] != 'D' || m[2] != 'S' {
-		return 0, fmt.Errorf("%w: %q", ErrBadMagic, m[:])
+		return fmt.Errorf("%w: %q", ErrBadMagic, m[:])
 	}
-	if m[3] < V1 || m[3] > Version {
-		return 0, fmt.Errorf("%w: version %d, speak %d..%d", ErrVersion, m[3], V1, Version)
+	if m[3] != Version {
+		return fmt.Errorf("%w: version %d, speak %d", ErrVersion, m[3], Version)
 	}
-	return int(m[3]), nil
+	return nil
 }
 
 // AppendFrame appends a complete frame (header, payload, CRC) to dst
@@ -404,95 +366,39 @@ type Hello struct {
 	// batches of this size. Zero delivers per event — the setting that
 	// keeps remote Stats byte-identical to an unbuffered local run.
 	BatchSize int
-	// Token (v2 only) resumes a suspended session: zero requests a
-	// fresh session, a non-zero value re-attaches to the session whose
-	// Welcome carried it. Not part of the v1 payload.
+	// Token resumes a suspended session: zero requests a fresh
+	// session, a non-zero value re-attaches to the session whose Welcome
+	// carried it.
 	Token uint64
-	// Caps (v3) is the capability bitmask the client offers
-	// (CapCompress and friends). Not part of the v1/v2 payloads.
+	// Caps is the capability bitmask the client offers (CapCompress and
+	// friends).
 	Caps uint64
-	// RouteKey (v3) is routing-relevant handshake metadata for session
+	// RouteKey is routing-relevant handshake metadata for session
 	// gateways: a client-chosen placement key. A cluster gateway
 	// (cmd/racedctl) consistent-hashes a non-zero RouteKey over its
 	// backend ring, so sessions that should co-locate (same workload,
 	// same tenant) can pin themselves to the same backend; zero lets the
-	// gateway pick a key. The field rides at the end of the v3 payload
-	// and is optional on decode, so pre-RouteKey v3 peers interoperate
-	// unchanged; direct raced servers ignore it.
+	// gateway pick a key. The field rides after Caps and is optional on
+	// decode, so pre-RouteKey peers interoperate unchanged; direct raced
+	// servers ignore it.
 	RouteKey uint64
-	// Auth (v3, CapTenant) is the tenant credential, spelled
-	// "tenant:key". It rides at the end of the v3 payload after RouteKey
-	// and is optional on decode, so pre-Auth v3 peers interoperate
-	// unchanged; servers running without tenant keys ignore it. Gateways
-	// forward the Hello payload byte-identically, so the credential
-	// reaches the backend untouched.
+	// Auth (CapTenant) is the tenant credential, spelled "tenant:key".
+	// It rides at the end of the payload after RouteKey and is optional
+	// on decode, so pre-Auth peers interoperate unchanged; servers
+	// running without tenant keys ignore it. Gateways forward the Hello
+	// payload byte-identically, so the credential reaches the backend
+	// untouched.
 	Auth string
 }
 
-// EncodeHello renders h as a frame payload.
-func EncodeHello(h Hello) []byte {
+// EncodeHelloV3 renders h as a frame payload: engine name, batch size,
+// resume token, offered capability bitmask, routing key and tenant
+// credential.
+func EncodeHelloV3(h Hello) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(h.Engine)))
 	buf = append(buf, h.Engine...)
 	buf = binary.AppendUvarint(buf, uint64(h.BatchSize))
-	return buf
-}
-
-// DecodeHello parses an EncodeHello (v1) payload.
-func DecodeHello(payload []byte) (Hello, error) {
-	h, _, err := decodeHello(payload)
-	return h, err
-}
-
-// decodeHello parses the v1 hello fields and returns the remaining
-// bytes (the v2 suffix, when present).
-func decodeHello(payload []byte) (Hello, []byte, error) {
-	n, k := binary.Uvarint(payload)
-	if k <= 0 || n > 1<<10 || uint64(len(payload)-k) < n {
-		return Hello{}, nil, fmt.Errorf("wire: hello: malformed engine name: %w", ErrTruncated)
-	}
-	h := Hello{Engine: string(payload[k : k+int(n)])}
-	rest := payload[k+int(n):]
-	b, k2 := binary.Uvarint(rest)
-	if k2 <= 0 || b > 1<<20 {
-		return Hello{}, nil, fmt.Errorf("wire: hello: malformed batch size: %w", ErrTruncated)
-	}
-	h.BatchSize = int(b)
-	return h, rest[k2:], nil
-}
-
-// EncodeHelloV2 renders h as a v2 frame payload: the v1 form followed
-// by the resume token (zero requests a fresh session).
-func EncodeHelloV2(h Hello) []byte {
-	buf := EncodeHello(h)
-	return binary.AppendUvarint(buf, h.Token)
-}
-
-// DecodeHelloV2 parses an EncodeHelloV2 payload.
-func DecodeHelloV2(payload []byte) (Hello, error) {
-	h, _, err := decodeHelloV2(payload)
-	return h, err
-}
-
-// decodeHelloV2 parses the v2 hello fields and returns the remaining
-// bytes (the v3 suffix, when present).
-func decodeHelloV2(payload []byte) (Hello, []byte, error) {
-	h, rest, err := decodeHello(payload)
-	if err != nil {
-		return Hello{}, nil, err
-	}
-	tok, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return Hello{}, nil, fmt.Errorf("wire: hello: malformed resume token: %w", ErrTruncated)
-	}
-	h.Token = tok
-	return h, rest[k:], nil
-}
-
-// EncodeHelloV3 renders h as a v3 frame payload: the v2 form followed
-// by the offered capability bitmask, the routing key, and the tenant
-// credential.
-func EncodeHelloV3(h Hello) []byte {
-	buf := EncodeHelloV2(h)
+	buf = binary.AppendUvarint(buf, h.Token)
 	buf = binary.AppendUvarint(buf, h.Caps)
 	buf = binary.AppendUvarint(buf, h.RouteKey)
 	buf = binary.AppendUvarint(buf, uint64(len(h.Auth)))
@@ -500,27 +406,35 @@ func EncodeHelloV3(h Hello) []byte {
 }
 
 // DecodeHelloV3 parses an EncodeHelloV3 payload. The trailing routing
-// key and auth credential are each optional: a v3 hello from an older
+// key and auth credential are each optional: a hello from an older
 // sender decodes with RouteKey zero and Auth empty, and bytes past the
 // fields this version knows are ignored so future trailing fields keep
 // interoperating.
 func DecodeHelloV3(payload []byte) (Hello, error) {
-	h, rest, err := decodeHelloV2(payload)
-	if err != nil {
-		return Hello{}, err
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n > 1<<10 || uint64(len(payload)-k) < n {
+		return Hello{}, fmt.Errorf("wire: hello: malformed engine name: %w", ErrTruncated)
 	}
-	caps, k := binary.Uvarint(rest)
-	if k <= 0 {
+	h := Hello{Engine: string(payload[k : k+int(n)])}
+	rest := payload[k+int(n):]
+	b, k := binary.Uvarint(rest)
+	if k <= 0 || b > 1<<20 {
+		return Hello{}, fmt.Errorf("wire: hello: malformed batch size: %w", ErrTruncated)
+	}
+	h.BatchSize = int(b)
+	rest = rest[k:]
+	if h.Token, k = binary.Uvarint(rest); k <= 0 {
+		return Hello{}, fmt.Errorf("wire: hello: malformed resume token: %w", ErrTruncated)
+	}
+	rest = rest[k:]
+	if h.Caps, k = binary.Uvarint(rest); k <= 0 {
 		return Hello{}, fmt.Errorf("wire: hello: malformed capability bits: %w", ErrTruncated)
 	}
-	h.Caps = caps
 	rest = rest[k:]
 	if len(rest) > 0 {
-		key, k := binary.Uvarint(rest)
-		if k <= 0 {
+		if h.RouteKey, k = binary.Uvarint(rest); k <= 0 {
 			return Hello{}, fmt.Errorf("wire: hello: malformed route key: %w", ErrTruncated)
 		}
-		h.RouteKey = key
 		rest = rest[k:]
 	}
 	if len(rest) > 0 {
@@ -538,60 +452,26 @@ type Welcome struct {
 	// Session is the server-assigned session identifier, echoed in logs
 	// and metrics.
 	Session uint64
-	// Token (v2) is the resume token a reconnecting client presents in
-	// Hello to re-attach to this session. Never zero in a v2 Welcome.
+	// Token is the resume token a reconnecting client presents in Hello
+	// to re-attach to this session. Never zero.
 	Token uint64
-	// NextSeq (v2) is the next Events sequence number the server
-	// expects: 1 for a fresh session, last-contiguously-ingested+1 on
-	// resume. The client resends its replay buffer from here; earlier
-	// sequences are already ingested and would be discarded.
+	// NextSeq is the next Events sequence number the server expects: 1
+	// for a fresh session, last-contiguously-ingested+1 on resume. The
+	// client resends its replay buffer from here; earlier sequences are
+	// already ingested and would be discarded.
 	NextSeq uint64
-	// Caps (v3) is the granted capability bitmask: the intersection of
-	// what the client offered and what the server allows. The client
-	// must not use a capability the Welcome did not grant.
+	// Caps is the granted capability bitmask: the intersection of what
+	// the client offered and what the server allows. The client must not
+	// use a capability the Welcome did not grant.
 	Caps uint64
 }
 
-// EncodeWelcome renders w as a v1 frame payload (session id only).
-func EncodeWelcome(w Welcome) []byte {
-	return binary.AppendUvarint(nil, w.Session)
-}
-
-// DecodeWelcome parses an EncodeWelcome (v1) payload.
-func DecodeWelcome(payload []byte) (Welcome, error) {
-	id, k := binary.Uvarint(payload)
-	if k <= 0 {
-		return Welcome{}, fmt.Errorf("wire: welcome: %w", ErrTruncated)
-	}
-	return Welcome{Session: id}, nil
-}
-
-// EncodeWelcomeV2 renders w as a v2 frame payload: session id, resume
-// token, next expected sequence.
-func EncodeWelcomeV2(w Welcome) []byte {
+// EncodeWelcomeV3 renders w as a frame payload: session id, resume
+// token, next expected sequence, granted capability bitmask.
+func EncodeWelcomeV3(w Welcome) []byte {
 	buf := binary.AppendUvarint(nil, w.Session)
 	buf = binary.AppendUvarint(buf, w.Token)
-	return binary.AppendUvarint(buf, w.NextSeq)
-}
-
-// DecodeWelcomeV2 parses an EncodeWelcomeV2 payload.
-func DecodeWelcomeV2(payload []byte) (Welcome, error) {
-	var w Welcome
-	for _, field := range []*uint64{&w.Session, &w.Token, &w.NextSeq} {
-		v, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return Welcome{}, fmt.Errorf("wire: welcome: %w", ErrTruncated)
-		}
-		*field = v
-		payload = payload[k:]
-	}
-	return w, nil
-}
-
-// EncodeWelcomeV3 renders w as a v3 frame payload: the v2 form followed
-// by the granted capability bitmask.
-func EncodeWelcomeV3(w Welcome) []byte {
-	buf := EncodeWelcomeV2(w)
+	buf = binary.AppendUvarint(buf, w.NextSeq)
 	return binary.AppendUvarint(buf, w.Caps)
 }
 
@@ -609,7 +489,7 @@ func DecodeWelcomeV3(payload []byte) (Welcome, error) {
 	return w, nil
 }
 
-// ---- acknowledgement payload (v2) ---------------------------------------
+// ---- acknowledgement payload ---------------------------------------
 
 // EncodeAck renders the highest contiguously ingested sequence as an
 // Ack frame payload.
@@ -628,44 +508,19 @@ func DecodeAck(payload []byte) (uint64, error) {
 
 // ---- event payloads -----------------------------------------------------
 
-// EncodeEvents appends an Events frame payload (uvarint count + record
-// stream, fj.AppendEvents form) to dst.
-func EncodeEvents(dst []byte, events []fj.Event) []byte {
+// EncodeEventsSeq appends an Events frame payload to dst: the batch's
+// monotonic sequence number, the event count, then the record stream
+// (fj.AppendEvents form).
+func EncodeEventsSeq(dst []byte, seq uint64, events []fj.Event) []byte {
+	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
 	return fj.AppendEvents(dst, events)
 }
 
-// DecodeEvents parses an EncodeEvents payload, appending the events to
-// dst. Trailing bytes after the declared count are a framing error.
-func DecodeEvents(dst []fj.Event, payload []byte) ([]fj.Event, error) {
-	count, k := binary.Uvarint(payload)
-	if k <= 0 {
-		return dst, fmt.Errorf("wire: events: count: %w", ErrTruncated)
-	}
-	if count > MaxFrameSize {
-		return dst, fmt.Errorf("wire: events: implausible count %d", count)
-	}
-	dst, rest, err := fj.DecodeEventsBytes(dst, payload[k:], int(count))
-	if err != nil {
-		return dst, fmt.Errorf("wire: events: %w", err)
-	}
-	if len(rest) != 0 {
-		return dst, fmt.Errorf("wire: events: %d trailing bytes after %d events", len(rest), count)
-	}
-	return dst, nil
-}
-
-// EncodeEventsSeq appends a v2 Events frame payload to dst: the batch's
-// monotonic sequence number, then the v1 form (uvarint count + record
-// stream).
-func EncodeEventsSeq(dst []byte, seq uint64, events []fj.Event) []byte {
-	dst = binary.AppendUvarint(dst, seq)
-	return EncodeEvents(dst, events)
-}
-
 // DecodeEventsSeq parses an EncodeEventsSeq payload, appending the
-// events to dst. A zero sequence is a framing error: v2 batches are
+// events to dst. A zero sequence is a framing error: batches are
 // numbered from 1 so that acks can name "nothing ingested" as 0.
+// Trailing bytes after the declared count are a framing error too.
 func DecodeEventsSeq(dst []fj.Event, payload []byte) (uint64, []fj.Event, error) {
 	seq, k := binary.Uvarint(payload)
 	if k <= 0 {
@@ -674,8 +529,22 @@ func DecodeEventsSeq(dst []fj.Event, payload []byte) (uint64, []fj.Event, error)
 	if seq == 0 {
 		return 0, dst, errors.New("wire: events: zero sequence number")
 	}
-	dst, err := DecodeEvents(dst, payload[k:])
-	return seq, dst, err
+	payload = payload[k:]
+	count, k := binary.Uvarint(payload)
+	if k <= 0 {
+		return seq, dst, fmt.Errorf("wire: events: count: %w", ErrTruncated)
+	}
+	if count > MaxFrameSize {
+		return seq, dst, fmt.Errorf("wire: events: implausible count %d", count)
+	}
+	dst, rest, err := fj.DecodeEventsBytes(dst, payload[k:], int(count))
+	if err != nil {
+		return seq, dst, fmt.Errorf("wire: events: %w", err)
+	}
+	if len(rest) != 0 {
+		return seq, dst, fmt.Errorf("wire: events: %d trailing bytes after %d events", len(rest), count)
+	}
+	return seq, dst, nil
 }
 
 // ---- report payload -----------------------------------------------------

@@ -26,7 +26,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteMagic(&buf); err != nil {
 		t.Fatal(err)
 	}
-	payload := EncodeEvents(nil, sampleEvents())
+	payload := EncodeEventsSeq(nil, 1, sampleEvents())
 	if err := WriteFrame(&buf, FrameEvents, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +44,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	if ft != FrameEvents {
 		t.Fatalf("frame type %v, want events", ft)
 	}
-	events, err := DecodeEvents(nil, got)
-	if err != nil {
-		t.Fatal(err)
+	seq, events, err := DecodeEventsSeq(nil, got)
+	if err != nil || seq != 1 {
+		t.Fatalf("seq=%d err=%v", seq, err)
 	}
 	want := sampleEvents()
 	if len(events) != len(want) {
@@ -64,7 +64,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestTruncatedFrameIsSentinel(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameEvents, EncodeEvents(nil, sampleEvents())); err != nil {
+	if err := WriteFrame(&buf, FrameEvents, EncodeEventsSeq(nil, 1, sampleEvents())); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -85,7 +85,7 @@ func TestTruncatedFrameIsSentinel(t *testing.T) {
 
 func TestChecksumCatchesCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameEvents, EncodeEvents(nil, sampleEvents())); err != nil {
+	if err := WriteFrame(&buf, FrameEvents, EncodeEventsSeq(nil, 1, sampleEvents())); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -129,31 +129,39 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
+// TestMagicVersionNegotiation pins ReadMagic as the one version
+// decision: the current magic passes, every other "RDS" version byte —
+// the retired 1 and 2 included — is ErrVersion, and a foreign protocol
+// or a bare connect-and-close is told apart from both.
 func TestMagicVersionNegotiation(t *testing.T) {
-	for _, v := range []byte{V1, V2} {
-		var buf bytes.Buffer
-		if err := WriteMagicVersion(&buf, v); err != nil {
-			t.Fatal(err)
+	var buf bytes.Buffer
+	if err := WriteMagic(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadMagic(&buf); err != nil {
+		t.Fatalf("current magic: %v", err)
+	}
+	for _, v := range []byte{0, 1, 2, Version + 1, 0xFF} {
+		if err := ReadMagic(bytes.NewReader([]byte{'R', 'D', 'S', v})); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: %v, want ErrVersion", v, err)
 		}
-		got, err := ReadMagicVersion(&buf)
-		if err != nil || got != int(v) {
-			t.Fatalf("version %d: got %d err=%v", v, got, err)
-		}
 	}
-	if _, err := ReadMagicVersion(bytes.NewReader([]byte{'R', 'D', 'S', 0})); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version 0: %v", err)
-	}
-	if _, err := ReadMagicVersion(bytes.NewReader([]byte{'R', 'D', 'S', Version + 1})); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: %v", err)
-	}
-	if _, err := ReadMagicVersion(bytes.NewReader([]byte("GET "))); !errors.Is(err, ErrBadMagic) {
+	if err := ReadMagic(bytes.NewReader([]byte("GET "))); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("foreign protocol: %v", err)
+	}
+	if err := ReadMagic(bytes.NewReader(nil)); !errors.Is(err, ErrEmptyHandshake) {
+		t.Fatalf("empty stream: %v", err)
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	for _, h := range []Hello{{}, {Engine: "2d"}, {Engine: "fasttrack", BatchSize: 256}} {
-		got, err := DecodeHello(EncodeHello(h))
+	for _, h := range []Hello{
+		{},
+		{Engine: "2d"},
+		{Engine: "fasttrack", BatchSize: 256, Token: 1<<63 + 5},
+		{Engine: "vc", BatchSize: 32, Token: 99, Caps: CapCompress | CapTenant, RouteKey: 1 << 40, Auth: "acme:k"},
+	} {
+		got, err := DecodeHelloV3(EncodeHelloV3(h))
 		if err != nil {
 			t.Fatalf("%+v: %v", h, err)
 		}
@@ -161,15 +169,27 @@ func TestHelloRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %+v -> %+v", h, got)
 		}
 	}
-	if _, err := DecodeHello([]byte{0xFF}); err == nil {
+	if _, err := DecodeHelloV3([]byte{0xFF}); err == nil {
 		t.Fatal("malformed hello accepted")
+	}
+	// Token and caps are mandatory: a payload cut after the batch size
+	// is truncated, not a fresh session with no capabilities.
+	full := EncodeHelloV3(Hello{Engine: "2d", BatchSize: 8, Token: 3})
+	for _, n := range []int{4, 5} {
+		if _, err := DecodeHelloV3(full[:n]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("hello cut at %d bytes: %v, want ErrTruncated", n, err)
+		}
 	}
 }
 
 func TestWelcomeReportRoundTrip(t *testing.T) {
-	w, err := DecodeWelcome(EncodeWelcome(Welcome{Session: 42}))
-	if err != nil || w.Session != 42 {
+	want := Welcome{Session: 42, Token: 0xfeedface, NextSeq: 4097, Caps: CapCompress}
+	w, err := DecodeWelcomeV3(EncodeWelcomeV3(want))
+	if err != nil || w != want {
 		t.Fatalf("welcome: %+v err=%v", w, err)
+	}
+	if _, err := DecodeWelcomeV3([]byte{1}); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated welcome: %v", err)
 	}
 	flags, body, err := DecodeReport(EncodeReport(FlagPartial, []byte(`{"x":1}`)))
 	if err != nil || flags != FlagPartial || string(body) != `{"x":1}` {
@@ -177,38 +197,7 @@ func TestWelcomeReportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHelloV2RoundTrip(t *testing.T) {
-	for _, h := range []Hello{{}, {Engine: "2d", Token: 7}, {Engine: "fasttrack", BatchSize: 256, Token: 1<<63 + 5}} {
-		got, err := DecodeHelloV2(EncodeHelloV2(h))
-		if err != nil {
-			t.Fatalf("%+v: %v", h, err)
-		}
-		if got != h {
-			t.Fatalf("round trip %+v -> %+v", h, got)
-		}
-	}
-	// The v2 payload is the v1 payload plus a token: a v1 decoder must
-	// still read the common prefix, and a v2 decoder must reject a bare
-	// v1 payload as truncated.
-	h := Hello{Engine: "vc", BatchSize: 32, Token: 99}
-	v1, err := DecodeHello(EncodeHelloV2(h))
-	if err != nil || v1.Engine != "vc" || v1.BatchSize != 32 || v1.Token != 0 {
-		t.Fatalf("v1 view of v2 hello: %+v err=%v", v1, err)
-	}
-	if _, err := DecodeHelloV2(EncodeHello(h)); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("v2 decode of v1 hello: %v, want ErrTruncated", err)
-	}
-}
-
-func TestWelcomeV2AckRoundTrip(t *testing.T) {
-	w := Welcome{Session: 12, Token: 0xfeedface, NextSeq: 4097}
-	got, err := DecodeWelcomeV2(EncodeWelcomeV2(w))
-	if err != nil || got != w {
-		t.Fatalf("welcome v2: %+v err=%v", got, err)
-	}
-	if _, err := DecodeWelcomeV2([]byte{1}); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated welcome v2: %v", err)
-	}
+func TestAckRoundTrip(t *testing.T) {
 	seq, err := DecodeAck(EncodeAck(1 << 40))
 	if err != nil || seq != 1<<40 {
 		t.Fatalf("ack: %d err=%v", seq, err)
@@ -240,11 +229,15 @@ func TestEventsSeqRoundTrip(t *testing.T) {
 	if _, _, err := DecodeEventsSeq(nil, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("empty payload: %v", err)
 	}
+	// Trailing bytes past the declared count are a framing error.
+	if _, _, err := DecodeEventsSeq(nil, append(EncodeEventsSeq(nil, 1, want), 0)); err == nil {
+		t.Fatal("trailing bytes accepted")
+	}
 }
 
 func TestScratchReuse(t *testing.T) {
 	var buf bytes.Buffer
-	payload := EncodeEvents(nil, sampleEvents())
+	payload := EncodeEventsSeq(nil, 1, sampleEvents())
 	for i := 0; i < 3; i++ {
 		if err := WriteFrame(&buf, FrameEvents, payload); err != nil {
 			t.Fatal(err)

@@ -330,16 +330,6 @@ func Detect(root func(*Task), opts ...Option) (*Report, error) {
 	return cfg.finish(d, tasks, nil, err)
 }
 
-// DetectWith runs a structured fork-join program under the chosen
-// engine. Further options are forwarded to Detect unchanged (a later
-// WithEngine wins over e), so e.g. WithStats reaches the run exactly as
-// it would through Detect.
-//
-// Deprecated: use Detect with WithEngine.
-func DetectWith(e Engine, root func(*Task), opts ...Option) (*Report, error) {
-	return Detect(root, append([]Option{WithEngine(e)}, opts...)...)
-}
-
 // DetectSpawnSync runs a Cilk-style spawn/sync program under the
 // configured detector.
 func DetectSpawnSync(root func(*Proc), opts ...Option) (*Report, error) {
@@ -434,22 +424,6 @@ func DetectSource(src io.Reader, opts ...Option) (*Report, error) {
 		rep.AddrName = res.LocName
 	}
 	return rep, err
-}
-
-// DetectProgram parses and runs a textual program under the chosen
-// engine, returning the location-name resolver separately. Further
-// options are forwarded to DetectSource unchanged (a later WithEngine
-// wins over e), so e.g. WithStats reaches the run exactly as it would
-// through DetectSource.
-//
-// Deprecated: use DetectSource; the resolver now lives on the report as
-// Report.AddrName.
-func DetectProgram(e Engine, src io.Reader, opts ...Option) (*Report, func(Addr) string, error) {
-	rep, err := DetectSource(src, append([]Option{WithEngine(e)}, opts...)...)
-	if err != nil || rep == nil {
-		return nil, nil, err
-	}
-	return rep, rep.AddrName, nil
 }
 
 // GroundTruth replays a recorded trace through the exhaustive

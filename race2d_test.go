@@ -35,7 +35,7 @@ func TestDetectFigure2(t *testing.T) {
 
 func TestAllEnginesAgreeOnFigure2(t *testing.T) {
 	for _, e := range []Engine{Engine2D, EngineVC, EngineFastTrack} {
-		rep, err := DetectWith(e, figure2)
+		rep, err := Detect(figure2, WithEngine(e))
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
@@ -134,7 +134,7 @@ func TestDetectGoroutines(t *testing.T) {
 	}
 }
 
-func TestDetectProgram(t *testing.T) {
+func TestDetectSourceAddrName(t *testing.T) {
 	const src = `
 fork a { read r }
 read r
@@ -142,20 +142,20 @@ fork c { join a }
 write r
 join c
 `
-	rep, locName, err := DetectProgram(Engine2D, strings.NewReader(src))
+	rep, err := DetectSource(strings.NewReader(src), WithEngine(Engine2D))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Racy() {
 		t.Fatal("program race missed")
 	}
-	if locName(rep.Races[0].Loc) != "r" {
-		t.Fatalf("race location = %q", locName(rep.Races[0].Loc))
+	if rep.AddrName(rep.Races[0].Loc) != "r" {
+		t.Fatalf("race location = %q", rep.AddrName(rep.Races[0].Loc))
 	}
 }
 
-func TestDetectProgramParseError(t *testing.T) {
-	if _, _, err := DetectProgram(Engine2D, strings.NewReader("fork {")); err == nil {
+func TestDetectSourceParseError(t *testing.T) {
+	if _, err := DetectSource(strings.NewReader("fork {"), WithEngine(Engine2D)); err == nil {
 		t.Fatal("parse error swallowed")
 	}
 }
@@ -255,7 +255,7 @@ func TestRunParallel(t *testing.T) {
 }
 
 func TestEngineNaiveOnFigure2(t *testing.T) {
-	rep, err := DetectWith(EngineNaive, figure2)
+	rep, err := Detect(figure2, WithEngine(EngineNaive))
 	if err != nil {
 		t.Fatal(err)
 	}

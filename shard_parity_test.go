@@ -205,41 +205,3 @@ func TestShardedStatsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDeprecatedWrappersForwardStats: the regression test for the
-// wrapper fix — DetectWith and DetectProgram must forward options
-// (here a stats sink) exactly as Detect/DetectSource do.
-func TestDeprecatedWrappersForwardStats(t *testing.T) {
-	w := workload.ForkJoin{Seed: 2, Ops: 200, MaxDepth: 5,
-		Mix: workload.Mix{Locs: 5, ReadFrac: 0.5}}
-	var want Stats
-	if _, err := Detect(w.Program(), WithEngine(Engine2D), WithStats(&want)); err != nil {
-		t.Fatal(err)
-	}
-	var got Stats
-	if _, err := DetectWith(Engine2D, w.Program(), WithStats(&got)); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Fatalf("DetectWith stats diverge from Detect:\nDetect: %v\nDetectWith: %v", want, got)
-	}
-	if got.MemOps() == 0 {
-		t.Fatal("DetectWith did not fill the stats sink")
-	}
-
-	src := "fork a { write x } write x join a"
-	var wantP Stats
-	if _, err := DetectSource(strings.NewReader(src), WithStats(&wantP)); err != nil {
-		t.Fatal(err)
-	}
-	var gotP Stats
-	if _, _, err := DetectProgram(Engine2D, strings.NewReader(src), WithStats(&gotP)); err != nil {
-		t.Fatal(err)
-	}
-	if gotP.String() != wantP.String() {
-		t.Fatalf("DetectProgram stats diverge from DetectSource:\nDetectSource: %v\nDetectProgram: %v", wantP, gotP)
-	}
-	if gotP.MemOps() == 0 {
-		t.Fatal("DetectProgram did not fill the stats sink")
-	}
-}
