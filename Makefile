@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify fmt-check race vet shard-parity store-parity bench bench-json bench-smoke serve-smoke chaos-smoke compress-smoke cluster-smoke store-smoke replication-smoke fuzz fuzz-smoke apidiff clean
+.PHONY: all build test verify fmt-check race vet shard-parity store-parity bench bench-json bench-smoke bench-selfcheck serve-smoke chaos-smoke compress-smoke cluster-smoke store-smoke replication-smoke fuzz fuzz-smoke apidiff clean
 
 all: build test
 
@@ -20,12 +20,12 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Differential parity of the sharded detector backend: sharded verdicts
-# (2, 4 and 8 location shards) must be byte-identical to serial
-# detection over the corpus, every frontend's workloads, and random
-# seeds — plus the sharded session path through raced.
+# Differential parity of the in-process sharded detector backend:
+# sharded verdicts (2, 4 and 8 location shards) must be byte-identical
+# to serial detection over the corpus, every frontend's workloads, and
+# random seeds.
 shard-parity:
-	$(GO) test -run 'TestShard|TestWithShards' . ./internal/core ./internal/server
+	$(GO) test -run 'TestShard|TestWithShards' . ./internal/core
 
 # Differential + adversarial gates on the durable report store: a
 # store-backed server must render verdicts byte-identical to the
@@ -63,6 +63,13 @@ bench-smoke:
 	$(GO) run ./cmd/bench2d -e 16 -quick -checkallocs -json ''
 	$(GO) run ./cmd/bench2d -e 17 -quick -json ''
 
+# Mirrors the CI bench-selfcheck job: builds the nested perfbench
+# module (which `go build ./...` never compiles) and runs every
+# workload briefly, traced and untraced, failing on any verdict or
+# accounting error.
+bench-selfcheck:
+	bash perfbench/run.sh --selfcheck
+
 # Mirrors the CI serve-smoke job: build raced and race2d under the Go
 # race detector, stream the corpus through a real server, assert remote
 # output byte-identical to local, probe /healthz and /metrics, and drain
@@ -80,9 +87,9 @@ chaos-smoke:
 	./scripts/chaos_smoke.sh
 
 # Mirrors the CI compress-smoke job: byte-identical local/remote
-# verdicts with block compression negotiated (the default), /metrics
-# proof that blocks flowed and saved bytes, -no-compress opt-out
-# parity, and chaos parity with compressed blocks on a faulty transport.
+# verdicts over compressed blocks, /metrics proof that blocks carried
+# every event byte and saved bytes, and chaos parity with compressed
+# blocks on a faulty transport.
 compress-smoke:
 	./scripts/compress_smoke.sh
 

@@ -7,7 +7,7 @@
 //
 // # Fault tolerance
 //
-// Every Events frame carries a
+// Every EventsBlock frame carries a
 // monotonically increasing sequence number, and the server acknowledges
 // the highest contiguously ingested sequence. Batches stay in a bounded
 // replay window until acknowledged, so when the connection dies —
@@ -31,15 +31,12 @@
 //
 // # Wire compression
 //
-// By default the client offers CapCompress in its handshake; when the
-// server grants it, batches ship as compressed EventsBlock frames
-// (delta/varint plus copy-run encoding of the fork-join structure,
-// flate fallback — internal/wire's block codec), typically cutting
-// bytes on the wire several-fold. WithNoCompress (or a server that
-// withholds the capability) ships plain sequenced Events frames.
-// Compression never touches verdicts: blocks decode to the identical
-// event stream, and Session.Stats reports the blocks/bytes/ratio
-// accounting.
+// Batches always ship as compressed EventsBlock frames (delta/varint
+// plus copy-run encoding of the fork-join structure, with flate and raw
+// record-form fallbacks — internal/wire's block codec), typically
+// cutting bytes on the wire several-fold. Compression never touches
+// verdicts: blocks decode to the identical event stream, and
+// Session.Stats reports the blocks/bytes/ratio accounting.
 package client
 
 import (
@@ -99,7 +96,6 @@ type Session struct {
 
 	id       uint64
 	token    uint64 // resume token (0 before the first Welcome)
-	caps     uint64 // capabilities granted on the current connection
 	nextSeq  uint64 // sequence for the next batch cut from the producer
 	acked    uint64 // highest server-acknowledged sequence
 	window   []pending
@@ -143,7 +139,7 @@ func Dial(addr string, opts ...Option) (*Session, error) {
 	s := &Session{opts: norm, nextSeq: 1}
 	s.endpoints = append([]string{addr}, norm.Endpoints...)
 	s.cond.L = &s.mu
-	s.batch = make([]fj.Event, 0, s.opts.FrameEvents)
+	s.batch = make([]fj.Event, 0, s.opts.EventsPerFrame)
 	if err := s.connect(); err != nil {
 		return nil, err
 	}
@@ -311,11 +307,8 @@ func backoff(o options, attempt int) time.Duration {
 func (s *Session) handshake(conn net.Conn, token uint64) error {
 	conn.SetDeadline(time.Now().Add(s.opts.DialTimeout))
 	hello := wire.Hello{Engine: s.opts.Engine, BatchSize: s.opts.BatchSize, Token: token, RouteKey: s.opts.RouteKey}
-	if !s.opts.NoCompress {
-		hello.Caps = wire.CapCompress
-	}
 	if s.opts.AuthToken != "" {
-		hello.Caps |= wire.CapTenant
+		hello.Caps = wire.CapTenant
 		hello.Auth = s.opts.AuthToken
 	}
 	bw := bufio.NewWriterSize(conn, 64<<10)
@@ -369,7 +362,6 @@ func (s *Session) handshake(conn net.Conn, token uint64) error {
 	s.mu.Lock()
 	s.id = welcome.Session
 	s.token = welcome.Token
-	s.caps = welcome.Caps & hello.Caps // never use a capability we did not offer
 	if welcome.NextSeq > 0 && welcome.NextSeq-1 > s.acked {
 		// The server ingested more than we saw acks for; trust it.
 		s.acked = welcome.NextSeq - 1
@@ -386,9 +378,13 @@ func (s *Session) handshake(conn net.Conn, token uint64) error {
 	s.mu.Unlock()
 
 	s.lastRecv.Store(time.Now().UnixNano())
-	go s.reader(conn, gen)
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		s.reader(conn, gen)
+	}()
 	if s.opts.HeartbeatInterval > 0 {
-		go s.heartbeat(conn, gen)
+		go s.heartbeat(conn, gen, readerDone)
 	}
 	return nil
 }
@@ -446,7 +442,6 @@ func (s *Session) pruneLocked() {
 func (s *Session) resendWindow() bool {
 	s.mu.Lock()
 	conn, bw, gen := s.conn, s.bw, s.gen
-	compress := s.caps&wire.CapCompress != 0
 	var todo []pending
 	for _, p := range s.window {
 		if p.seq > s.acked {
@@ -458,7 +453,7 @@ func (s *Session) resendWindow() bool {
 		return false
 	}
 	for _, p := range todo {
-		if err := s.writeEvents(conn, bw, compress, p); err != nil {
+		if err := s.writeEvents(conn, bw, p); err != nil {
 			s.killConn(gen, err)
 			return false
 		}
@@ -474,20 +469,12 @@ func (s *Session) resendWindow() bool {
 	return true
 }
 
-// writeEvents writes one sequenced batch, as a compressed block when
-// the connection negotiated CapCompress and as a plain Events frame
-// otherwise. Resends re-encode: a batch first sent compressed can go
-// out uncompressed on a reconnect that was granted less, and vice
-// versa — the sequence number, not the byte form, is the batch's
-// identity.
-func (s *Session) writeEvents(conn net.Conn, bw *bufio.Writer, compress bool, p pending) error {
-	if compress {
-		return s.writeFrame(conn, bw, wire.FrameEventsBlock, func(dst []byte) []byte {
-			return s.enc.AppendBlock(dst, p.seq, p.events)
-		})
-	}
-	return s.writeFrame(conn, bw, wire.FrameEvents, func(dst []byte) []byte {
-		return wire.EncodeEventsSeq(dst, p.seq, p.events)
+// writeEvents writes one sequenced batch as a compressed block.
+// Resends re-encode; the sequence number, not the byte form, is the
+// batch's identity.
+func (s *Session) writeEvents(conn net.Conn, bw *bufio.Writer, p pending) error {
+	return s.writeFrame(conn, bw, wire.FrameEventsBlock, func(dst []byte) []byte {
+		return s.enc.AppendBlock(dst, p.seq, p.events)
 	})
 }
 
@@ -572,12 +559,19 @@ func (s *Session) reader(conn net.Conn, gen uint64) {
 // declares the peer dead after HeartbeatMisses silent intervals. While
 // Finish is waiting on the Report the server is legitimately silent
 // (it may be draining a large queue), so the dead-peer verdict is
-// suspended and FinishTimeout rules instead.
-func (s *Session) heartbeat(conn net.Conn, gen uint64) {
+// suspended and FinishTimeout rules instead. It exits with the
+// connection's reader (readerDone), which every close of conn ends, so
+// a closed session leaves no heartbeat behind.
+func (s *Session) heartbeat(conn net.Conn, gen uint64, readerDone <-chan struct{}) {
 	interval := s.opts.HeartbeatInterval
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	for range tick.C {
+	for {
+		select {
+		case <-tick.C:
+		case <-readerDone:
+			return
+		}
 		s.mu.Lock()
 		stale := s.gen != gen || s.conn == nil || s.closed
 		finishing := s.finishing
@@ -616,7 +610,7 @@ func (s *Session) heartbeat(conn net.Conn, gen uint64) {
 // batch fills. Implements fj.Sink.
 func (s *Session) Event(e fj.Event) {
 	s.batch = append(s.batch, e)
-	if len(s.batch) >= s.opts.FrameEvents {
+	if len(s.batch) >= s.opts.EventsPerFrame {
 		s.flushFrame()
 	}
 }
@@ -624,10 +618,10 @@ func (s *Session) Event(e fj.Event) {
 // EventBatch buffers a slab of events. Implements fj.BatchSink.
 func (s *Session) EventBatch(events []fj.Event) {
 	for len(events) > 0 {
-		n := min(s.opts.FrameEvents-len(s.batch), len(events))
+		n := min(s.opts.EventsPerFrame-len(s.batch), len(events))
 		s.batch = append(s.batch, events[:n]...)
 		events = events[n:]
-		if len(s.batch) >= s.opts.FrameEvents {
+		if len(s.batch) >= s.opts.EventsPerFrame {
 			s.flushFrame()
 		}
 	}
@@ -694,7 +688,6 @@ func (s *Session) sendBatch(events []fj.Event) {
 	s.nextSeq++
 	s.window = append(s.window, p)
 	conn, bw, gen := s.conn, s.bw, s.gen
-	compress := s.caps&wire.CapCompress != 0
 	s.mu.Unlock()
 
 	if conn == nil {
@@ -703,7 +696,7 @@ func (s *Session) sendBatch(events []fj.Event) {
 		s.connect()
 		return
 	}
-	if err := s.writeEvents(conn, bw, compress, p); err != nil {
+	if err := s.writeEvents(conn, bw, p); err != nil {
 		s.killConn(gen, err)
 		s.connect()
 	}

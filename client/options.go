@@ -46,7 +46,7 @@ func WithFrameEvents(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("client: frame events must be positive, got %d", n)
 		}
-		o.FrameEvents = n
+		o.EventsPerFrame = n
 		return nil
 	}
 }
@@ -173,16 +173,6 @@ func WithRetainAll() Option {
 	}
 }
 
-// WithNoCompress withholds the CapCompress capability from the
-// handshake, so batches ship as plain Events frames even against a
-// willing server.
-func WithNoCompress() Option {
-	return func(o *options) error {
-		o.NoCompress = true
-		return nil
-	}
-}
-
 // WithEndpoints adds fallback server or gateway addresses behind the
 // primary one passed to Dial. Connect attempts rotate through the seed
 // list, so a session survives the loss of one gateway out of a fleet.
@@ -241,7 +231,7 @@ func WithAuthToken(token string) Option {
 type options struct {
 	Engine            string        // WithEngine
 	BatchSize         int           // WithBatchSize
-	FrameEvents       int           // WithFrameEvents
+	EventsPerFrame    int           // WithFrameEvents
 	DialTimeout       time.Duration // WithDialTimeout
 	FinishTimeout     time.Duration // WithFinishTimeout
 	WriteTimeout      time.Duration // WithWriteTimeout
@@ -252,7 +242,6 @@ type options struct {
 	BackoffMax        time.Duration // WithBackoff
 	WindowBatches     int           // WithReplayWindow
 	RetainAll         bool          // WithRetainAll
-	NoCompress        bool          // WithNoCompress
 	Endpoints         []string      // WithEndpoints
 	RouteKey          uint64        // WithRouteKey
 	AuthToken         string        // WithAuthToken
@@ -276,8 +265,8 @@ func resolve(opts []Option) (options, error) {
 // normalized fills defaults and validates the fields with a rejectable
 // domain.
 func (o options) normalized() (options, error) {
-	if o.FrameEvents <= 0 {
-		o.FrameEvents = DefaultFrameEvents
+	if o.EventsPerFrame <= 0 {
+		o.EventsPerFrame = DefaultFrameEvents
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 10 * time.Second

@@ -73,7 +73,6 @@ func TestOptionConstructorsSetFields(t *testing.T) {
 		WithBackoff(10*time.Millisecond, 500*time.Millisecond),
 		WithReplayWindow(32),
 		WithRetainAll(),
-		WithNoCompress(),
 		WithEndpoints("b:1", "c:2"),
 		WithRouteKey(42),
 		WithAuthToken("acme:k"),
@@ -81,7 +80,7 @@ func TestOptionConstructorsSetFields(t *testing.T) {
 	want := options{
 		Engine:            "fasttrack",
 		BatchSize:         128,
-		FrameEvents:       256,
+		EventsPerFrame:    256,
 		DialTimeout:       3 * time.Second,
 		FinishTimeout:     time.Minute,
 		WriteTimeout:      4 * time.Second,
@@ -92,7 +91,6 @@ func TestOptionConstructorsSetFields(t *testing.T) {
 		BackoffMax:        500 * time.Millisecond,
 		WindowBatches:     32,
 		RetainAll:         true,
-		NoCompress:        true,
 		Endpoints:         []string{"b:1", "c:2"},
 		RouteKey:          42,
 		AuthToken:         "acme:k",
@@ -108,8 +106,8 @@ func TestNormalizedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.FrameEvents != DefaultFrameEvents {
-		t.Errorf("FrameEvents = %d, want %d", n.FrameEvents, DefaultFrameEvents)
+	if n.EventsPerFrame != DefaultFrameEvents {
+		t.Errorf("EventsPerFrame = %d, want %d", n.EventsPerFrame, DefaultFrameEvents)
 	}
 	if n.WindowBatches != DefaultWindowBatches {
 		t.Errorf("WindowBatches = %d, want %d", n.WindowBatches, DefaultWindowBatches)

@@ -1,15 +1,14 @@
 // The E17 experiment: wire compression end to end. One client session
-// streams a recorded workload trace to an in-process raced server with
-// block compression negotiated on or withheld, and the cell records
-// what the wire actually carried: bytes per event, the raw-to-block
-// compression ratio, and throughput, so the bandwidth win and its CPU
-// cost are measured side by side on the same trace.
+// streams a recorded workload trace to an in-process raced server, and
+// the cell records what the wire actually carried: bytes per event,
+// throughput, and the compression ratio against the raw record form
+// the server decoded the blocks to (its WireBytesRaw counter), so the
+// bandwidth win and its CPU cost are measured on the same trace.
 //
 // Two workload shapes bound the sweep: the pipeline grid (regular
 // fork-join structure — the compressible case the paper's traces look
-// like) and the randomized spawn tree (irregular task IDs and
-// addresses — the adversarial case). Verdict parity with an in-process
-// replay is asserted on every cell, compressed or not.
+// like) and the divide-and-conquer spawn tree. Verdict parity with an
+// in-process replay is asserted on every cell.
 //
 // e17 is also the bandwidth regression gate: it fails when the
 // compressed pipeline cell spends more than maxPipelineBytesPerEvent
@@ -22,6 +21,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/client"
@@ -38,22 +38,24 @@ import (
 // event (the plain record form spends ~4.4).
 const maxPipelineBytesPerEvent = 1.0
 
-// compressCell is one measured workload × compression point,
-// serialized into BENCH_race2d.json under "compress".
+// compressCell is one measured workload, serialized into
+// BENCH_race2d.json under "compress".
 type compressCell struct {
-	Workload string `json:"workload"`
-	Compress bool   `json:"compress"`
-	Events   int    `json:"events"`
+	Workload   string `json:"workload"`
+	Events     int    `json:"events"`
+	GoMaxProcs int    `json:"gomaxprocs"`
 
 	WallMs       float64 `json:"wall_ms"`
 	EventsPerSec float64 `json:"events_per_s"`
 
-	// WireBytes is what the event stream actually occupied on the wire:
-	// block payloads when compressed, plain Events payloads otherwise.
+	// WireBytes is what the event stream occupied on the wire: the
+	// block payloads.
 	WireBytes     uint64  `json:"wire_bytes"`
 	BytesPerEvent float64 `json:"bytes_per_event"`
-	// Ratio is raw record-form bytes over wire bytes (1 uncompressed).
-	Ratio float64 `json:"compress_ratio"`
+	// RawBytes is the raw record-form size the blocks decoded to, and
+	// Ratio is RawBytes over WireBytes.
+	RawBytes uint64  `json:"raw_bytes"`
+	Ratio    float64 `json:"compress_ratio"`
 
 	Racy bool `json:"racy"`
 }
@@ -114,10 +116,10 @@ func spawnTreeTrace(quick bool) *fj.Trace {
 	return tr
 }
 
-// runCompressCell streams tr through one session, with or without the
-// compress capability, asserts verdict parity against the in-process
-// baseline, and returns the wall time plus the server's accounting.
-func runCompressCell(tr *fj.Trace, compress bool, baseline *race2d.Report) (time.Duration, obs.Stats) {
+// runCompressCell streams tr through one session, asserts verdict
+// parity against the in-process baseline, and returns the wall time
+// plus the server's accounting.
+func runCompressCell(tr *fj.Trace, baseline *race2d.Report) (time.Duration, obs.Stats) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(fmt.Sprintf("bench: compress: %v", err))
@@ -130,11 +132,7 @@ func runCompressCell(tr *fj.Trace, compress bool, baseline *race2d.Report) (time
 	defer srv.Close()
 
 	start := time.Now()
-	copts := []client.Option{client.WithFrameEvents(compressFrameEvents)}
-	if !compress {
-		copts = append(copts, client.WithNoCompress())
-	}
-	sess, err := client.Dial(ln.Addr().String(), copts...)
+	sess, err := client.Dial(ln.Addr().String(), client.WithFrameEvents(compressFrameEvents))
 	if err != nil {
 		panic(fmt.Sprintf("bench: compress: %v", err))
 	}
@@ -147,21 +145,18 @@ func runCompressCell(tr *fj.Trace, compress bool, baseline *race2d.Report) (time
 	wall := time.Since(start)
 	if rep.Count != baseline.Count || rep.Stats.MemOps() != baseline.Stats.MemOps() ||
 		rep.Locations != baseline.Locations {
-		panic(fmt.Sprintf("bench: compress=%v: remote verdict (races=%d memops=%d locs=%d) != local (races=%d memops=%d locs=%d)",
-			compress, rep.Count, rep.Stats.MemOps(), rep.Locations,
+		panic(fmt.Sprintf("bench: compress: remote verdict (races=%d memops=%d locs=%d) != local (races=%d memops=%d locs=%d)",
+			rep.Count, rep.Stats.MemOps(), rep.Locations,
 			baseline.Count, baseline.Stats.MemOps(), baseline.Locations))
 	}
 	st := srv.Stats()
-	if compress && st.WireBlocks == 0 {
-		panic("bench: compress cell negotiated no blocks")
-	}
-	if !compress && st.WireBlocks != 0 {
-		panic("bench: no-compress cell still shipped blocks")
+	if st.WireBlocks == 0 {
+		panic("bench: compress cell shipped no blocks")
 	}
 	return wall, st
 }
 
-// compressCells measures the E17 matrix: workload × {plain, blocks}.
+// compressCells measures the E17 cells, one per workload.
 func compressCells(quick bool) []compressCell {
 	traces := compressTraces(quick)
 	var cells []compressCell
@@ -170,39 +165,29 @@ func compressCells(quick bool) []compressCell {
 		d := race2d.NewEngineSink(race2d.Engine2D)
 		tr.Replay(d)
 		baseline := d.Report()
-		for _, compress := range []bool{false, true} {
-			// Best-of-5: the cells are milliseconds long, so on a busy
-			// host the distribution has a long scheduling tail; the
-			// minimum estimates the codec's actual cost.
-			var st obs.Stats
-			wall := time.Duration(1<<63 - 1)
-			for rep := 0; rep < 5; rep++ {
-				w, s := runCompressCell(tr, compress, baseline)
-				if w < wall {
-					wall, st = w, s
-				}
+		// Best-of-5: the cells are milliseconds long, so on a busy host
+		// the distribution has a long scheduling tail; the minimum
+		// estimates the codec's actual cost.
+		var st obs.Stats
+		wall := time.Duration(1<<63 - 1)
+		for rep := 0; rep < 5; rep++ {
+			w, s := runCompressCell(tr, baseline)
+			if w < wall {
+				wall, st = w, s
 			}
-			// The event stream's wire footprint: block payloads when
-			// compressed; otherwise total frame payloads, which the
-			// handshake and finish frames pad by only a few bytes.
-			wire := st.WireBytesBlocks
-			ratio := st.CompressRatio()
-			if !compress {
-				wire = st.WireBytes
-				ratio = 1
-			}
-			cells = append(cells, compressCell{
-				Workload:      name,
-				Compress:      compress,
-				Events:        len(tr.Events),
-				WallMs:        float64(wall.Microseconds()) / 1e3,
-				EventsPerSec:  float64(len(tr.Events)) / wall.Seconds(),
-				WireBytes:     wire,
-				BytesPerEvent: float64(wire) / float64(len(tr.Events)),
-				Ratio:         ratio,
-				Racy:          baseline.Count > 0,
-			})
 		}
+		cells = append(cells, compressCell{
+			Workload:      name,
+			Events:        len(tr.Events),
+			GoMaxProcs:    runtime.GOMAXPROCS(0),
+			WallMs:        float64(wall.Microseconds()) / 1e3,
+			EventsPerSec:  float64(len(tr.Events)) / wall.Seconds(),
+			WireBytes:     st.WireBytesBlocks,
+			BytesPerEvent: float64(st.WireBytesBlocks) / float64(len(tr.Events)),
+			RawBytes:      st.WireBytesRaw,
+			Ratio:         st.CompressRatio(),
+			Racy:          baseline.Count > 0,
+		})
 	}
 	return cells
 }
@@ -213,17 +198,18 @@ func compressCells(quick bool) []compressCell {
 // maxPipelineBytesPerEvent.
 func e17(quick bool) ([]compressCell, int) {
 	cells := compressCells(quick)
-	w := table("\nE17: wire compression — bytes/event and throughput, blocks vs plain frames")
-	fmt.Fprintln(w, "workload\tcompress\tevents\twall ms\tMevents/s\twire KB\tbytes/event\tratio\tracy")
+	w := table(fmt.Sprintf("\nE17: wire compression — bytes/event and throughput, GOMAXPROCS=%d", runtime.GOMAXPROCS(0)))
+	fmt.Fprintln(w, "workload\tevents\twall ms\tMevents/s\twire KB\tbytes/event\traw bytes/event\tratio\tracy")
 	for _, c := range cells {
-		fmt.Fprintf(w, "%s\t%v\t%d\t%.1f\t%.2f\t%.1f\t%.2f\t%.1fx\t%v\n",
-			c.Workload, c.Compress, c.Events, c.WallMs, c.EventsPerSec/1e6,
-			float64(c.WireBytes)/(1<<10), c.BytesPerEvent, c.Ratio, c.Racy)
+		fmt.Fprintf(w, "%s\t%d\t%.1f\t%.2f\t%.1f\t%.2f\t%.2f\t%.1fx\t%v\n",
+			c.Workload, c.Events, c.WallMs, c.EventsPerSec/1e6,
+			float64(c.WireBytes)/(1<<10), c.BytesPerEvent,
+			float64(c.RawBytes)/float64(c.Events), c.Ratio, c.Racy)
 	}
 	w.Flush()
 	code := 0
 	for _, c := range cells {
-		if c.Workload == "pipeline" && c.Compress && c.BytesPerEvent > maxPipelineBytesPerEvent {
+		if c.Workload == "pipeline" && c.BytesPerEvent > maxPipelineBytesPerEvent {
 			fmt.Fprintf(os.Stderr,
 				"bench2d: e17 bandwidth gate: compressed pipeline spends %.2f bytes/event, budget %.2f\n",
 				c.BytesPerEvent, maxPipelineBytesPerEvent)

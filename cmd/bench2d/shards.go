@@ -28,9 +28,10 @@ import (
 // shardCell is one measured shard-count point, serialized into
 // BENCH_race2d.json under "shards".
 type shardCell struct {
-	Shards int    `json:"shards"`
-	Events int    `json:"events"`
-	MemOps uint64 `json:"memops"`
+	Shards     int    `json:"shards"`
+	Events     int    `json:"events"`
+	MemOps     uint64 `json:"memops"`
+	GoMaxProcs int    `json:"gomaxprocs"`
 
 	NsPerEvent   float64 `json:"ns_per_event"`
 	EventsPerSec float64 `json:"events_per_s"`
@@ -172,6 +173,7 @@ func e16(quick, checkAllocs bool) ([]shardCell, int) {
 			Shards:             shards,
 			Events:             len(tr.Events),
 			MemOps:             baseStats.MemOps(),
+			GoMaxProcs:         runtime.GOMAXPROCS(0),
 			NsPerEvent:         float64(med.Nanoseconds()) / float64(len(tr.Events)),
 			EventsPerSec:       float64(len(tr.Events)) / med.Seconds(),
 			CrossShardHandoffs: st.CrossShardHandoffs,

@@ -52,7 +52,6 @@ func run(args []string) int {
 	traceStats := fs.Bool("stats", false, "print trace shape and per-engine operation-count statistics")
 	viz := fs.Bool("viz", false, "render the task line's evolution (small programs)")
 	remote := fs.String("remote", "", "raced server address(es), comma-separated; detection runs remotely over the wire protocol, extra addresses are failover endpoints (and fetch fallbacks)")
-	noCompress := fs.Bool("no-compress", false, "send plain event frames instead of negotiating block compression (remote runs only)")
 	shards := fs.Int("shards", 0, "location shards for the 2d engine's access checks (0 or 1 = serial; local runs only)")
 	auth := fs.String("auth", "", "tenant credential name:key for remote runs against a -tenant-keys server")
 	fetch := fs.String("fetch", "", "retrieve the persisted report under this resume token (hex) instead of detecting; requires -remote")
@@ -75,7 +74,7 @@ func run(args []string) int {
 	// Binary traces (recorded with -record) are replayed directly; any
 	// other input is parsed as a program.
 	if len(data) >= 4 && [4]byte(data[:4]) == fj.TraceMagic {
-		return runTrace(data, *engineName, *remote, *shards, *all, *truth, *traceStats, *noCompress, *auth)
+		return runTrace(data, *engineName, *remote, *shards, *all, *truth, *traceStats, *auth)
 	}
 	p, err := prog.Parse(bytes.NewReader(data))
 	if err != nil {
@@ -110,7 +109,7 @@ func run(args []string) int {
 		var rep *race2d.Report
 		var res *prog.Result
 		if *remote != "" {
-			rep, res, err = execRemote(p, *remote, e, i == 0, &trace, *noCompress, *auth)
+			rep, res, err = execRemote(p, *remote, e, i == 0, &trace, *auth)
 		} else {
 			d, err2 := newSink(e, *shards)
 			if err2 != nil {
@@ -214,13 +213,9 @@ func printReport(e race2d.Engine, rep *race2d.Report, locName func(race2d.Addr) 
 // keeps the whole stream replayable, so the verdict survives not just
 // dropped connections but a raced restart that forgot the resume token
 // (the stream replays into a fresh session).
-func remoteOptions(remote string, e race2d.Engine, noCompress bool, auth string) (string, []client.Option) {
+func remoteOptions(remote string, e race2d.Engine, auth string) (string, []client.Option) {
 	addr, opts := connectOptions(remote, auth)
-	opts = append(opts, client.WithEngine(e.String()), client.WithRetainAll())
-	if noCompress {
-		opts = append(opts, client.WithNoCompress())
-	}
-	return addr, opts
+	return addr, append(opts, client.WithEngine(e.String()), client.WithRetainAll())
 }
 
 // connectOptions splits a -remote list into its primary address and the
@@ -279,8 +274,8 @@ func noteRecovery(sess *client.Session) {
 // execRemote executes p locally but streams its events to a raced
 // server; the Report comes back from the server's engine. When the
 // server drains mid-stream the partial report is used, with a warning.
-func execRemote(p *prog.Program, remote string, e race2d.Engine, recordTrace bool, trace *fj.Trace, noCompress bool, auth string) (*race2d.Report, *prog.Result, error) {
-	addr, opts := remoteOptions(remote, e, noCompress, auth)
+func execRemote(p *prog.Program, remote string, e race2d.Engine, recordTrace bool, trace *fj.Trace, auth string) (*race2d.Report, *prog.Result, error) {
+	addr, opts := remoteOptions(remote, e, auth)
 	sess, err := client.Dial(addr, opts...)
 	if err != nil {
 		return nil, nil, err
@@ -308,7 +303,7 @@ func execRemote(p *prog.Program, remote string, e race2d.Engine, recordTrace boo
 
 // runTrace replays a recorded binary trace under the requested engines,
 // locally or against a raced server.
-func runTrace(data []byte, engineName, remote string, shards int, all, truth, stats, noCompress bool, auth string) int {
+func runTrace(data []byte, engineName, remote string, shards int, all, truth, stats bool, auth string) int {
 	tr, err := fj.DecodeTrace(bytes.NewReader(data))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "race2d:", err)
@@ -337,7 +332,7 @@ func runTrace(data []byte, engineName, remote string, shards int, all, truth, st
 	for _, e := range engines {
 		var rep *race2d.Report
 		if remote != "" {
-			addr, opts := remoteOptions(remote, e, noCompress, auth)
+			addr, opts := remoteOptions(remote, e, auth)
 			sess, err := client.Dial(addr, opts...)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "race2d:", err)

@@ -8,7 +8,6 @@
 //
 //	raced [-addr :7471] [-metrics :7472] [-max-sessions 64]
 //	      [-queue-cap 4096] [-idle-timeout 0] [-resume-window 1m]
-//	      [-shards 1] [-shard-budget 0]
 //	      [-store-dir dir] [-retention 0] [-no-sync]
 //	      [-replicate-to addr,...] [-repl-key key]
 //	      [-tenant-keys name=key[:maxSessions[:maxStoreBytes]],...]
@@ -117,9 +116,6 @@ func run(args []string) int {
 	cliflags.Register(fs, ":7471", &common)
 	maxSessions := fs.Int("max-sessions", server.DefaultMaxSessions, "live session cap; extra connections are refused")
 	resumeWindow := fs.Duration("resume-window", server.DefaultResumeWindow, "keep disconnected sessions resumable this long")
-	shards := fs.Int("shards", 0, "location shards per 2D session (0 or 1 = serial detection)")
-	shardBudget := fs.Int("shard-budget", 0, "global cap on live shard workers; over-budget sessions fall back to serial (0 = shards*max-sessions)")
-	noCompress := fs.Bool("no-compress", false, "withhold the block-compression capability; clients fall back to plain event frames")
 	storeDir := fs.String("store-dir", "", "persist finished reports to a hash-chained log in this directory (empty = in-memory, resume-window retention)")
 	retention := fs.Duration("retention", 0, "drop persisted reports older than this (0 = keep forever; requires -store-dir)")
 	noSync := fs.Bool("no-sync", false, "skip per-record fsync in the report log (faster; host crash may lose the latest acks)")
@@ -144,9 +140,6 @@ func run(args []string) int {
 		QueueCapacity: common.QueueCap,
 		IdleTimeout:   common.IdleTimeout,
 		ResumeWindow:  *resumeWindow,
-		Shards:        *shards,
-		ShardBudget:   *shardBudget,
-		NoCompress:    *noCompress,
 	}
 	if common.Verbose {
 		cfg.Logf = logger.Printf

@@ -183,13 +183,20 @@ func AppendEvents(dst []byte, events []Event) []byte {
 func EventsSize(events []Event) int {
 	n := 0
 	for _, e := range events {
-		n += 1 + uvarintSize(uint64(e.T))
-		switch e.Kind {
-		case EvFork, EvJoin:
-			n += uvarintSize(uint64(e.U))
-		case EvRead, EvWrite:
-			n += uvarintSize(uint64(e.Loc))
-		}
+		n += EventSize(e)
+	}
+	return n
+}
+
+// EventSize returns the record-form length of one event: a kind byte,
+// the acting task id, and the counterpart task or address, if any.
+func EventSize(e Event) int {
+	n := 1 + uvarintSize(uint64(e.T))
+	switch e.Kind {
+	case EvFork, EvJoin:
+		n += uvarintSize(uint64(e.U))
+	case EvRead, EvWrite:
+		n += uvarintSize(uint64(e.Loc))
 	}
 	return n
 }

@@ -108,7 +108,7 @@ type Stats struct {
 	Resumes           uint64 `json:"resumes,omitempty"`            // sessions successfully re-attached (server)
 	HandshakeRefusals uint64 `json:"handshake_refusals,omitempty"` // connections refused before a session existed (server)
 
-	// Block compression (wire CapCompress). Both ends
+	// Block compression (wire EventsBlock frames). Both ends
 	// report the same three counters: compressed event blocks carried,
 	// their payload bytes on the wire, and the raw record-form bytes
 	// they stand for — WireBytesRaw / WireBytesBlocks is the achieved

@@ -377,9 +377,10 @@ func TestResumeSupersedesStaleConnection(t *testing.T) {
 		}
 		return conn, w
 	}
+	var enc wire.BlockEncoder
 	sendEvents := func(conn net.Conn, seq uint64, events []fj.Event) {
 		t.Helper()
-		if err := wire.WriteFrame(conn, wire.FrameEvents, wire.EncodeEventsSeq(nil, seq, events)); err != nil {
+		if err := wire.WriteFrame(conn, wire.FrameEventsBlock, enc.AppendBlock(nil, seq, events)); err != nil {
 			t.Fatal(err)
 		}
 		ft, payload, err := wire.ReadFrame(conn, nil)
@@ -486,5 +487,65 @@ func TestHandshakeFailureModes(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(body.String(), fmt.Sprintf("raced_handshake_refusals_total %d", len(cases))) {
 		t.Errorf("/metrics missing refusal counter:\n%s", body.String())
+	}
+}
+
+// TestMidStreamProtocolErrors checks that a session whose client breaks
+// the protocol after Welcome is torn down, not suspended: the server
+// answers with an Error frame naming the violation and frees the slot.
+// The retired plain Events frame (type 3) is one such violation.
+func TestMidStreamProtocolErrors(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
+	events := []fj.Event{{Kind: fj.EvBegin, T: 0}, {Kind: fj.EvWrite, T: 0, Loc: 1}}
+	plain := append([]byte{1, byte(len(events))}, fj.AppendEvents(nil, events)...)
+	var enc wire.BlockEncoder
+
+	cases := []struct {
+		name    string
+		ft      wire.FrameType
+		payload []byte
+		want    string // substring of the Error frame payload
+	}{
+		{"retired-plain-events", wire.FrameType(3), plain, "unexpected FrameType(3) frame mid-stream"},
+		{"sequence-gap", wire.FrameEventsBlock, enc.AppendBlock(nil, 2, events), "sequence gap"},
+		// Four 3-byte writes (delta scheme) declared as 100 raw bytes.
+		{"raw-length-lie", wire.FrameEventsBlock, []byte{1, 4, 100, 1,
+			0, byte(fj.EvWrite), 2, 4, 0, byte(fj.EvWrite), 0, 0, 2, 1}, "wire: block:"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if err := wire.WriteMagic(conn); err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{})); err != nil {
+				t.Fatal(err)
+			}
+			if ft, payload, err := wire.ReadFrame(conn, nil); err != nil || ft != wire.FrameWelcome {
+				t.Fatalf("handshake: got %v %q (%v), want a Welcome", ft, payload, err)
+			}
+			if err := wire.WriteFrame(conn, c.ft, c.payload); err != nil {
+				t.Fatal(err)
+			}
+			ft, payload, err := wire.ReadFrame(conn, nil)
+			if err != nil || ft != wire.FrameError {
+				t.Fatalf("want an Error frame back, got %v %q (%v)", ft, payload, err)
+			}
+			if !strings.Contains(string(payload), c.want) {
+				t.Errorf("error %q does not name the violation %q", payload, c.want)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for srv.Live() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d session(s) still live after a protocol error", srv.Live())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -58,21 +58,18 @@ func requireParity(t *testing.T, rep *race2d.Report, tr *fj.Trace) {
 	}
 }
 
-// TestNegotiationMatrix pins the capability negotiation outcomes: with
-// compression on both sides a session streams compressed blocks, and
-// either side opting out falls back to plain event frames — never
-// failing, and never changing the verdict.
+// TestNegotiationMatrix pins the negotiation outcome of every pairing
+// the protocol still has: a v3 client and a v3 server always stream
+// compressed blocks — every event frame on the wire is a block — and
+// the verdict matches the local replay.
 func TestNegotiationMatrix(t *testing.T) {
 	tr := negotiationTrace(t)
 	cases := []struct {
-		name       string
-		server     server.Config
-		client     []client.Option
-		wantBlocks bool
+		name   string
+		server server.Config
+		client []client.Option
 	}{
-		{"v3 client, v3 server", server.Config{}, nil, true},
-		{"no-compress client, v3 server", server.Config{}, []client.Option{client.WithNoCompress()}, false},
-		{"v3 client, no-compress server", server.Config{NoCompress: true}, nil, false},
+		{"v3 client, v3 server", server.Config{}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,33 +77,30 @@ func TestNegotiationMatrix(t *testing.T) {
 			rep := streamTrace(t, addr, tr, append(tc.client, client.WithFrameEvents(4096))...)
 			requireParity(t, rep, tr)
 			st := srv.Stats()
-			if tc.wantBlocks && st.WireBlocks == 0 {
-				t.Fatal("compressed pairing shipped no block frames")
-			}
-			if !tc.wantBlocks && st.WireBlocks != 0 {
-				t.Fatalf("fallback pairing still shipped %d block frames", st.WireBlocks)
+			if st.WireBlocks == 0 || st.WireBlocks != st.Frames || st.WireBytesBlocks != st.WireBytes {
+				t.Fatalf("%d of %d event frames (%d of %d bytes) were blocks, want all",
+					st.WireBlocks, st.Frames, st.WireBytesBlocks, st.WireBytes)
 			}
 		})
 	}
 }
 
-// TestNegotiationMixedSessions runs a compressed and an opted-out
-// session against one server: per-session negotiation must not leak —
-// only the compressed session's events arrive as blocks, and both
-// verdicts match the local replay.
+// TestNegotiationMixedSessions streams two sessions against one
+// server: per-session negotiation must not leak between them — the
+// blocks stand for exactly both traces' record form, and both verdicts
+// match the local replay.
 func TestNegotiationMixedSessions(t *testing.T) {
 	tr := negotiationTrace(t)
 	srv, addr := startServer(t, server.Config{})
 	requireParity(t, streamTrace(t, addr, tr, client.WithFrameEvents(4096)), tr)
-	requireParity(t, streamTrace(t, addr, tr, client.WithFrameEvents(4096), client.WithNoCompress()), tr)
+	requireParity(t, streamTrace(t, addr, tr, client.WithFrameEvents(4096)), tr)
 	st := srv.Stats()
-	if st.WireBlocks == 0 {
-		t.Fatal("the compressed session shipped no block frames")
+	if st.WireBlocks == 0 || st.WireBlocks != st.Frames || st.WireBytesBlocks != st.WireBytes {
+		t.Fatalf("%d of %d event frames (%d of %d bytes) were blocks, want all",
+			st.WireBlocks, st.Frames, st.WireBytesBlocks, st.WireBytes)
 	}
-	// Exactly one of the two sessions negotiated blocks, so the raw
-	// bytes the blocks stand for are one trace's record form.
-	if want := uint64(fj.EventsSize(tr.Events)); st.WireBytesRaw != want {
-		t.Fatalf("block frames stand for %d raw bytes, want one session's %d", st.WireBytesRaw, want)
+	if want := 2 * uint64(fj.EventsSize(tr.Events)); st.WireBytesRaw != want {
+		t.Fatalf("block frames stand for %d raw bytes, want two sessions' %d", st.WireBytesRaw, want)
 	}
 }
 
@@ -126,7 +120,7 @@ func TestNegotiationV3RefusalOnWire(t *testing.T) {
 	if _, err := conn.Write([]byte{'R', 'D', 'S', wire.Version + 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{Caps: wire.CapCompress})); err != nil {
+	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{})); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := wire.ReadFrame(conn, nil)

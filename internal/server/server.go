@@ -23,10 +23,10 @@
 //
 // The server speaks one wire protocol version (wire.Version); any other
 // version byte in the magic is refused with the documented
-// wire.ErrVersion handshake refusal. A session numbers its Events frames
-// with contiguous sequence numbers and the server acknowledges the
-// highest contiguously ingested sequence after every Events (and
-// Heartbeat) frame. When a connection dies mid-stream the session is
+// wire.ErrVersion handshake refusal. A session numbers its EventsBlock
+// frames with contiguous sequence numbers and the server acknowledges
+// the highest contiguously ingested sequence after every EventsBlock
+// (and Heartbeat) frame. When a connection dies mid-stream the session is
 // not torn down: it is suspended — queue, engine, and sequence cursor
 // intact — for up to ResumeWindow. A reconnecting client presents the
 // resume token from its Welcome; the server adopts the new connection,
@@ -42,12 +42,11 @@
 //
 // # Wire compression
 //
-// A session negotiates capabilities in the handshake; when the server
-// grants CapCompress (the default — Config.NoCompress withholds it) the
-// client ships event batches as compressed EventsBlock frames. Blocks
-// carry the same sequence numbers as Events frames and are acked,
-// deduplicated and resumed identically; each block is self-contained,
-// so a block resent to a restarted server decodes to the same events.
+// Clients ship event batches as compressed EventsBlock frames — the
+// only event framing — and every session feeds one serial detector.
+// Blocks carry contiguous sequence numbers and are acked, deduplicated
+// and resumed at block boundaries; each block is self-contained, so a
+// block resent to a restarted server decodes to the same events.
 //
 // # Durable reports, tenants and quotas
 //
@@ -119,21 +118,6 @@ type Config struct {
 	// cached Report of a finished one) survives awaiting a resume.
 	// <= 0 means DefaultResumeWindow.
 	ResumeWindow time.Duration
-	// Shards requests sharded 2D detection per session: each Engine2D
-	// session's per-location checks fan out across this many location
-	// workers (race2d.WithShards), fed from the session's single
-	// structure stage. 0 or 1 keeps every session serial; other engines
-	// always run serial regardless.
-	Shards int
-	// ShardBudget caps the total shard workers live across sessions. A
-	// session that cannot acquire its full grant of Shards workers falls
-	// back to serial detection — verdict-identical, just not parallel.
-	// <= 0 means Shards × MaxSessions (never a constraint).
-	ShardBudget int
-	// NoCompress withholds the CapCompress capability: sessions are
-	// accepted but granted no compression, so clients fall back to
-	// plain Events frames.
-	NoCompress bool
 	// Store persists finished Reports before they are acked and serves
 	// post-restart retrieval by resume token. Nil selects an in-memory
 	// store retained for ResumeWindow — the cache semantics this server
@@ -217,25 +201,10 @@ func (c Config) normalized() Config {
 	if c.ResumeWindow <= 0 {
 		c.ResumeWindow = DefaultResumeWindow
 	}
-	if c.Shards < 0 {
-		c.Shards = 0
-	}
-	if c.ShardBudget <= 0 {
-		c.ShardBudget = c.Shards * c.MaxSessions
-	}
 	if c.RevokeGrace <= 0 {
 		c.RevokeGrace = DefaultRevokeGrace
 	}
 	return c
-}
-
-// grantedCaps is the capability set this server is willing to grant a
-// session.
-func (c Config) grantedCaps() uint64 {
-	if c.NoCompress {
-		return 0
-	}
-	return wire.CapCompress
 }
 
 // janitorPeriod is the eviction/expiry sweep interval for this config,
@@ -296,18 +265,11 @@ type Server struct {
 	quotaRefusals     atomic.Uint64
 	storePutErrors    atomic.Uint64
 
-	// Block-compression accounting (CapCompress sessions): block
-	// count, payload bytes on the wire, and the raw record-form bytes
+	// Block-compression accounting: block count, payload bytes on the wire, and the raw record-form bytes
 	// those blocks decoded to — the bandwidth the codec saved.
 	blocks          atomic.Uint64
 	wireBytesBlocks atomic.Uint64
 	wireBytesRaw    atomic.Uint64
-
-	// Shard-worker budget accounting: live is the gauge of currently
-	// granted workers, the counters classify session admissions.
-	shardWorkersLive atomic.Int64
-	shardSessions    atomic.Uint64
-	shardFallbacks   atomic.Uint64
 
 	// Queue backpressure accounting folded in as sessions retire.
 	retired obs.Stats // guarded by mu
@@ -672,9 +634,9 @@ func (s *Server) admit(conn net.Conn, hello wire.Hello, tenant string) (*session
 		}
 	}
 	s.nextID++
-	granted := s.cfg.grantedCaps()
+	var granted uint64
 	if tenantsOn {
-		granted |= wire.CapTenant
+		granted = wire.CapTenant
 	}
 	sess := &session{
 		id:       s.nextID,
@@ -724,15 +686,6 @@ func (s *Server) dropSessionLocked(sess *session) {
 // totals.
 func (s *Server) foldStats(sess *session) {
 	qs := sess.queue.Stats()
-	var shardStats obs.Stats
-	if sess.shards > 1 {
-		// Every caller has already waited on sess.drained, so the
-		// consumer is done and reading Stats here is safe; on a sharded
-		// backend it also flushes and joins the location workers, which
-		// must happen before their budget grant is released.
-		shardStats = sess.detector.Stats()
-		s.shardWorkersLive.Add(-int64(sess.shards))
-	}
 	s.mu.Lock()
 	s.retired.Producers++
 	s.retired.EventsBuffered += qs.Pushed
@@ -740,37 +693,7 @@ func (s *Server) foldStats(sess *session) {
 	if qs.MaxDepth > s.retired.MaxQueueDepth {
 		s.retired.MaxQueueDepth = qs.MaxDepth
 	}
-	if sess.shards > 1 {
-		s.retired.CrossShardHandoffs += shardStats.CrossShardHandoffs
-		s.retired.ShardStalls += shardStats.ShardStalls
-		if shardStats.ShardEventsMax > s.retired.ShardEventsMax {
-			s.retired.ShardEventsMax = shardStats.ShardEventsMax
-		}
-	}
 	s.mu.Unlock()
-}
-
-// acquireShards reserves a shard-worker grant for a new session under
-// the global budget. It returns 0 (serial detection) when sharding is
-// off, the engine cannot shard, or the budget has no room for the full
-// grant — a partial grant would change the verdict-affecting shard
-// count mid-fleet for no throughput win on an oversubscribed host.
-func (s *Server) acquireShards(eng race2d.Engine) int {
-	n := s.cfg.Shards
-	if n <= 1 || eng != race2d.Engine2D {
-		return 0
-	}
-	for {
-		live := s.shardWorkersLive.Load()
-		if live+int64(n) > int64(s.cfg.ShardBudget) {
-			s.shardFallbacks.Add(1)
-			return 0
-		}
-		if s.shardWorkersLive.CompareAndSwap(live, live+int64(n)) {
-			s.shardSessions.Add(1)
-			return n
-		}
-	}
 }
 
 // refuse answers a connection that failed the handshake with a typed
@@ -878,10 +801,9 @@ func (s *Server) handle(conn net.Conn) {
 		wire.WriteFrame(conn, wire.FrameError, []byte(msg))
 		return
 	}
-	sess.shards = s.acquireShards(eng)
 	sess.startConsumer(eng)
-	s.logf("session %d: open (engine=%s batch=%d shards=%d) from %v",
-		sess.id, eng, hello.BatchSize, sess.shards, conn.RemoteAddr())
+	s.logf("session %d: open (engine=%s batch=%d) from %v",
+		sess.id, eng, hello.BatchSize, conn.RemoteAddr())
 	sess.serve(conn)
 }
 
@@ -1037,9 +959,6 @@ func (s *Server) Stats() obs.Stats {
 	st.WireBlocks = s.blocks.Load()
 	st.WireBytesBlocks = s.wireBytesBlocks.Load()
 	st.WireBytesRaw = s.wireBytesRaw.Load()
-	if s.cfg.Shards > 1 {
-		st.Shards = uint64(s.cfg.Shards)
-	}
 	return st
 }
 
@@ -1088,12 +1007,6 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintf(w, "raced_wire_bytes_blocks_total %d\n", st.WireBytesBlocks)
 		fmt.Fprintf(w, "raced_wire_bytes_raw_total %d\n", st.WireBytesRaw)
 		fmt.Fprintf(w, "raced_compress_ratio %g\n", st.CompressRatio())
-		fmt.Fprintf(w, "raced_shard_workers_live %d\n", s.shardWorkersLive.Load())
-		fmt.Fprintf(w, "raced_shard_workers_budget %d\n", s.cfg.ShardBudget)
-		fmt.Fprintf(w, "raced_shard_sessions_total %d\n", s.shardSessions.Load())
-		fmt.Fprintf(w, "raced_shard_fallbacks_total %d\n", s.shardFallbacks.Load())
-		fmt.Fprintf(w, "raced_shard_handoffs_total %d\n", st.CrossShardHandoffs)
-		fmt.Fprintf(w, "raced_shard_stalls_total %d\n", st.ShardStalls)
 		fmt.Fprintf(w, "raced_auth_failures_total %d\n", s.authFailures.Load())
 		fmt.Fprintf(w, "raced_quota_refusals_total %d\n", s.quotaRefusals.Load())
 
@@ -1346,7 +1259,6 @@ type session struct {
 	queue    *fj.EventQueue
 	drained  chan struct{} // closed when the consumer finished feeding the engine
 	detector race2d.StreamDetector
-	shards   int // granted shard workers (0 = serial detection)
 
 	lastActive atomic.Int64 // unix nanos of the last frame
 	draining   atomic.Bool  // shutdown: stop reading, report the prefix
@@ -1370,23 +1282,7 @@ type session struct {
 // that touches the engine until drained is closed. It outlives any one
 // connection: a suspended session keeps detecting what it buffered.
 func (sess *session) startConsumer(eng race2d.Engine) {
-	if sess.shards > 1 {
-		d, err := race2d.NewStreamDetector(
-			race2d.WithEngine(eng),
-			race2d.WithShards(sess.shards),
-			race2d.WithQueueCapacity(sess.srv.cfg.QueueCapacity))
-		if err != nil {
-			// Cannot happen for a granted Engine2D session; keep the
-			// session alive serially rather than dropping it.
-			sess.srv.logf("session %d: sharded detector: %v", sess.id, err)
-			sess.srv.shardWorkersLive.Add(-int64(sess.shards))
-			sess.shards = 0
-			d = race2d.NewEngineSink(eng)
-		}
-		sess.detector = d
-	} else {
-		sess.detector = race2d.NewEngineSink(eng)
-	}
+	sess.detector = race2d.NewEngineSink(eng)
 	go func() {
 		defer close(sess.drained)
 		var sink race2d.Sink = sess.detector
@@ -1498,34 +1394,17 @@ frames:
 		}
 		sess.lastActive.Store(time.Now().UnixNano())
 		switch ft {
-		case wire.FrameEvents, wire.FrameEventsBlock:
+		case wire.FrameEventsBlock:
 			srv.frames.Add(1)
 			srv.wireBytes.Add(uint64(len(payload)))
-			var (
-				seq  uint64
-				slab []fj.Event
-				err  error
-			)
-			if ft == wire.FrameEventsBlock {
-				if sess.caps&wire.CapCompress == 0 {
-					readErr = errors.New("raced: compressed block on a session without the compress capability")
-					protoErr = true
-					break frames
-				}
-				var rawLen int
-				seq, slab, rawLen, err = blockDec.DecodeBlockInto(sess.queue.NewSlab(), payload)
-				if err == nil {
-					srv.blocks.Add(1)
-					srv.wireBytesBlocks.Add(uint64(len(payload)))
-					srv.wireBytesRaw.Add(uint64(rawLen))
-				}
-			} else {
-				seq, slab, err = wire.DecodeEventsSeq(sess.queue.NewSlab(), payload)
-			}
+			seq, slab, rawLen, err := blockDec.DecodeBlockInto(sess.queue.NewSlab(), payload)
 			if err != nil {
 				readErr, protoErr = err, true
 				break frames
 			}
+			srv.blocks.Add(1)
+			srv.wireBytesBlocks.Add(uint64(len(payload)))
+			srv.wireBytesRaw.Add(uint64(rawLen))
 			switch {
 			case seq < nextSeq:
 				// Duplicate of an already-ingested batch (a resend

@@ -11,11 +11,11 @@ import (
 	"repro/internal/fj"
 )
 
-// Block codec for FrameEventsBlock (CapCompress).
+// Block codec for FrameEventsBlock.
 //
 // A block payload is:
 //
-//	uvarint  seq      batch sequence number (>= 1, same space as Events)
+//	uvarint  seq      batch sequence number (>= 1)
 //	uvarint  count    number of events in the block
 //	uvarint  rawLen   size of the batch in the raw record form (fj.AppendEvents)
 //	1 byte   scheme   0 raw, 1 delta, 2 flate, 3 delta+flate
@@ -44,6 +44,11 @@ import (
 // squeezes — with the inflated token-stream length framed first
 // (uvarint) so the decoder can bound its read. The encoder always
 // emits the smallest form it found.
+//
+// The decoder trusts neither count nor rawLen: every record is at least
+// two bytes, so count may not exceed rawLen/2, and every scheme must
+// decode to events whose record form is exactly rawLen bytes. A block
+// cannot claim more events, or more saved bandwidth, than it carries.
 
 // Block schemes.
 const (
@@ -292,6 +297,9 @@ func (d *BlockDecoder) DecodeBlockInto(dst []fj.Event, payload []byte) (seq uint
 	if rl > MaxFrameSize {
 		return 0, dst, 0, fmt.Errorf("wire: block: implausible raw length %d", rl)
 	}
+	if count > rl/2 {
+		return 0, dst, 0, fmt.Errorf("wire: block: %d events cannot fit a raw length of %d", count, rl)
+	}
 	payload = payload[k:]
 	if len(payload) == 0 {
 		return 0, dst, 0, fmt.Errorf("wire: block: scheme: %w", ErrTruncated)
@@ -311,7 +319,7 @@ func (d *BlockDecoder) DecodeBlockInto(dst []fj.Event, payload []byte) (seq uint
 			dst, err = decodeRawBody(dst, raw, int(count))
 		}
 	case blockDelta:
-		dst, err = d.decodeDelta(dst, body, int(count))
+		dst, err = d.decodeDelta(dst, body, int(count), int(rl))
 	case blockDeltaFlate:
 		dl, k := binary.Uvarint(body)
 		if k <= 0 {
@@ -325,7 +333,7 @@ func (d *BlockDecoder) DecodeBlockInto(dst []fj.Event, payload []byte) (seq uint
 		var stream []byte
 		stream, err = d.inflate(body[k:], int(dl))
 		if err == nil {
-			dst, err = d.decodeDelta(dst, stream, int(count))
+			dst, err = d.decodeDelta(dst, stream, int(count), int(rl))
 		}
 	default:
 		err = fmt.Errorf("wire: block: unknown scheme %d", scheme)
@@ -337,13 +345,19 @@ func (d *BlockDecoder) DecodeBlockInto(dst []fj.Event, payload []byte) (seq uint
 }
 
 // decodeRawBody parses exactly count raw-form records spanning body.
+// The records must be in canonical (shortest-varint) form, so that body
+// is exactly the record form the events re-encode to.
 func decodeRawBody(dst []fj.Event, body []byte, count int) ([]fj.Event, error) {
+	start := len(dst)
 	dst, rest, err := fj.DecodeEventsBytes(dst, body, count)
 	if err != nil {
 		return dst, fmt.Errorf("wire: block: %w", err)
 	}
 	if len(rest) != 0 {
 		return dst, fmt.Errorf("wire: block: %d trailing bytes after %d events", len(rest), count)
+	}
+	if n := fj.EventsSize(dst[start:]); n != len(body) {
+		return dst, fmt.Errorf("wire: block: %d-byte raw body re-encodes to %d bytes (non-canonical varints)", len(body), n)
 	}
 	return dst, nil
 }
@@ -376,11 +390,12 @@ func (d *BlockDecoder) inflate(body []byte, rawLen int) ([]byte, error) {
 
 // decodeDelta replays the delta+copy-run token stream, validating every
 // decoded field so corrupt or hostile blocks error out instead of
-// fabricating plausible events.
-func (d *BlockDecoder) decodeDelta(dst []fj.Event, body []byte, count int) ([]fj.Event, error) {
+// fabricating plausible events. The events' record-form size must come
+// to exactly rawLen.
+func (d *BlockDecoder) decodeDelta(dst []fj.Event, body []byte, count, rawLen int) ([]fj.Event, error) {
 	var prevT int64
 	var prevU, prevLoc uint64
-	decoded := 0
+	decoded, size := 0, 0
 	apply := func(t tuple) error {
 		if t.kind > fj.EvWrite {
 			return fmt.Errorf("wire: block: event %d: unknown kind %d", decoded, t.kind)
@@ -402,6 +417,9 @@ func (d *BlockDecoder) decodeDelta(dst []fj.Event, body []byte, count int) ([]fj
 		case fj.EvRead, fj.EvWrite:
 			prevLoc += t.dX
 			ev.Loc = fj.Addr(prevLoc)
+		}
+		if size += fj.EventSize(ev); size > rawLen {
+			return fmt.Errorf("wire: block: event %d: record form exceeds declared raw length %d", decoded, rawLen)
 		}
 		d.ring[decoded&(ringSize-1)] = t
 		dst = append(dst, ev)
@@ -461,6 +479,9 @@ func (d *BlockDecoder) decodeDelta(dst []fj.Event, body []byte, count int) ([]fj
 	}
 	if len(body) != 0 {
 		return dst, fmt.Errorf("wire: block: %d trailing bytes after %d events", len(body), count)
+	}
+	if size != rawLen {
+		return dst, fmt.Errorf("wire: block: record form is %d bytes, declared %d", size, rawLen)
 	}
 	return dst, nil
 }

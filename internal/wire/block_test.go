@@ -150,6 +150,12 @@ func TestBlockDecoderRejectsHostileInput(t *testing.T) {
 		"zero lag": {5, 2, 4, blockDelta, 0, byte(fj.EvHalt), 0, 1, 0},
 		// scheme flate with garbage body
 		"flate garbage": {5, 2, 4, blockFlate, 0xde, 0xad, 0xbe, 0xef},
+		// a valid block with a byte past its body
+		"trailing byte": append(append([]byte(nil), good...), 0),
+		// scheme raw, one read of location 0 with its task id spelled in
+		// two bytes instead of one: the declared raw length overstates
+		// the record form the event re-encodes to
+		"non-canonical raw": {5, 1, 4, blockRaw, byte(fj.EvRead), 0x80, 0x00, 0},
 	}
 	for name, payload := range cases {
 		var dec BlockDecoder
@@ -179,6 +185,70 @@ func TestBlockDecoderRejectsHostileInput(t *testing.T) {
 	}
 }
 
+// hostileBlock is 16 bytes that claim 4,194,304 events in a raw length
+// of 1: one literal write by task 0 to location 0 (3 bytes in record
+// form), then one copy run repeating it 4,194,303 times. Decoded, it
+// would be a 146 MiB slab whose record form is 12,582,912 bytes.
+var hostileBlock = []byte{
+	1,                      // seq
+	0x80, 0x80, 0x80, 0x02, // count 1<<22
+	1,                         // raw length
+	blockDelta,                // scheme
+	0, byte(fj.EvWrite), 0, 0, // literal: dT 0, dX 0
+	0xff, 0xff, 0xff, 0x01, // copy run of 1<<22 - 1
+	1, // lag
+}
+
+// TestBlockDecoderChecksDeclaredSizes pins that a block cannot lie
+// about its size: the event count must fit the declared raw length,
+// and the delta schemes must decode to exactly that many record-form
+// bytes, so the server's raw-byte accounting (and the compression
+// ratio it reports) counts what the client actually sent.
+func TestBlockDecoderChecksDeclaredSizes(t *testing.T) {
+	if len(hostileBlock) != 16 {
+		t.Fatalf("hostile block is %d bytes, want 16", len(hostileBlock))
+	}
+	var dec BlockDecoder
+	if _, out, _, err := dec.DecodeBlockInto(nil, hostileBlock); err == nil {
+		t.Fatalf("decoder accepted %d events declared in a raw length of 1", len(out))
+	}
+
+	// Four writes (12 record-form bytes) declared as 100: the count fits,
+	// the size does not, on both the delta and the delta+flate schemes.
+	events := []fj.Event{
+		{Kind: fj.EvWrite, T: 1, Loc: 2},
+		{Kind: fj.EvWrite, T: 1, Loc: 2},
+		{Kind: fj.EvWrite, T: 1, Loc: 2},
+		{Kind: fj.EvWrite, T: 1, Loc: 2},
+	}
+	// Literal (dT 1, dX 2), literal (dT 0, dX 0), then a copy of 2 at
+	// lag 1; deltas are zigzag varints.
+	stream := []byte{0, byte(fj.EvWrite), 2, 4, 0, byte(fj.EvWrite), 0, 0, 2, 1}
+	for _, rawLen := range []byte{12, 100} {
+		delta := append([]byte{7, 4, rawLen, blockDelta}, stream...)
+		flated := append([]byte{7, 4, rawLen, blockDeltaFlate, byte(len(stream))},
+			new(BlockEncoder).deflate(stream)...)
+		for name, payload := range map[string][]byte{"delta": delta, "delta+flate": flated} {
+			var dec BlockDecoder
+			_, out, got, err := dec.DecodeBlockInto(nil, payload)
+			if rawLen != 12 {
+				if err == nil {
+					t.Errorf("%s: raw length %d accepted for a 12-byte record form", name, rawLen)
+				}
+				continue
+			}
+			if err != nil || got != 12 || len(out) != len(events) {
+				t.Fatalf("%s: honest block: %d events, raw %d, %v", name, len(out), got, err)
+			}
+			for i := range events {
+				if out[i] != events[i] {
+					t.Fatalf("%s: event %d: %v, want %v", name, i, out[i], events[i])
+				}
+			}
+		}
+	}
+}
+
 // TestBlockDecodeIntoReusesSlab checks DecodeBlockInto appends to the
 // caller's buffer without per-event allocation once capacity exists.
 func TestBlockDecodeIntoReusesSlab(t *testing.T) {
@@ -205,14 +275,14 @@ func TestBlockDecodeIntoReusesSlab(t *testing.T) {
 }
 
 func TestHelloWelcomeV3RoundTrip(t *testing.T) {
-	h := Hello{Engine: "2d", BatchSize: 128, Token: 0xfeed, Caps: CapCompress}
+	h := Hello{Engine: "2d", BatchSize: 128, Token: 0xfeed, Caps: CapTenant}
 	got, err := DecodeHelloV3(EncodeHelloV3(h))
 	if err != nil || got != h {
 		t.Fatalf("hello v3 round trip: %+v -> %+v (%v)", h, got, err)
 	}
 	// The trailing auth credential rides after RouteKey and round-trips;
 	// a hello without it decodes with Auth empty (older senders).
-	ha := Hello{Engine: "2d", Caps: CapCompress | CapTenant, RouteKey: 9, Auth: "acme:s3cret"}
+	ha := Hello{Engine: "2d", Caps: CapTenant, RouteKey: 9, Auth: "acme:s3cret"}
 	gotA, err := DecodeHelloV3(EncodeHelloV3(ha))
 	if err != nil || gotA != ha {
 		t.Fatalf("hello v3 auth round trip: %+v -> %+v (%v)", ha, gotA, err)
@@ -221,17 +291,17 @@ func TestHelloWelcomeV3RoundTrip(t *testing.T) {
 	// payload (ends after the caps) still decode: both trailing fields
 	// are optional. Route key 9 and an empty credential are one byte
 	// each on the wire.
-	full := EncodeHelloV3(Hello{Engine: "2d", Caps: CapCompress, RouteKey: 9})
+	full := EncodeHelloV3(Hello{Engine: "2d", Caps: CapTenant, RouteKey: 9})
 	gotOld, err := DecodeHelloV3(full[:len(full)-1])
 	if err != nil || gotOld.Auth != "" || gotOld.RouteKey != 9 {
 		t.Fatalf("pre-auth hello: %+v (%v)", gotOld, err)
 	}
 	gotOlder, err := DecodeHelloV3(full[:len(full)-2])
-	if err != nil || gotOlder.RouteKey != 0 || gotOlder.Caps != CapCompress {
+	if err != nil || gotOlder.RouteKey != 0 || gotOlder.Caps != CapTenant {
 		t.Fatalf("pre-route-key hello: %+v (%v)", gotOlder, err)
 	}
 
-	w := Welcome{Session: 3, Token: 0xbeef, NextSeq: 17, Caps: CapCompress}
+	w := Welcome{Session: 3, Token: 0xbeef, NextSeq: 17, Caps: CapTenant}
 	gotW, err := DecodeWelcomeV3(EncodeWelcomeV3(w))
 	if err != nil || gotW != w {
 		t.Fatalf("welcome v3 round trip: %+v -> %+v (%v)", w, gotW, err)

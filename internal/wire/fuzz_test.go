@@ -9,29 +9,29 @@ import (
 
 // FuzzReadFrame feeds arbitrary bytes to the frame reader and, when a
 // frame parses, checks the invariants the server relies on: the payload
-// round-trips through AppendFrame to the same bytes, and an Events,
-// Hello or Welcome payload that decodes re-encodes and re-decodes
-// stably.
+// round-trips through AppendFrame to the same bytes, and an
+// EventsBlock, Hello or Welcome payload that decodes re-encodes and
+// re-decodes stably.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, FrameFinish, nil))
-	f.Add(AppendFrame(nil, FrameEvents, EncodeEventsSeq(nil, 1, sampleEvents())))
+	f.Add(AppendFrame(nil, FrameEventsBlock, sampleBlock(1)))
 	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64})))
-	f.Add([]byte{byte(FrameEvents), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
-	// Resume vocabulary: sequenced events, resume handshake, acks,
+	f.Add([]byte{byte(FrameEventsBlock), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
+	// Resume vocabulary: sequenced blocks, resume handshake, acks,
 	// heartbeats.
-	f.Add(AppendFrame(nil, FrameEvents, EncodeEventsSeq(nil, 3, sampleEvents())))
+	f.Add(AppendFrame(nil, FrameEventsBlock, sampleBlock(3)))
 	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{
 		Engine: "2d", BatchSize: 64, Token: 0xabcdef,
-		Caps: CapCompress | CapTenant, RouteKey: 1 << 33, Auth: "acme:s3cret",
+		Caps: CapTenant, RouteKey: 1 << 33, Auth: "acme:s3cret",
 	})))
 	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcomeV3(Welcome{Session: 9, Token: 1 << 50, NextSeq: 17})))
 	f.Add(AppendFrame(nil, FrameAck, EncodeAck(1<<20)))
 	f.Add(AppendFrame(nil, FrameHeartbeat, nil))
-	// Capability handshakes and compressed blocks.
-	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64, Token: 7, Caps: CapCompress})))
-	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcomeV3(Welcome{Session: 2, Token: 0xbeef, NextSeq: 1, Caps: CapCompress})))
-	f.Add(AppendFrame(nil, FrameEventsBlock, new(BlockEncoder).AppendBlock(nil, 11, sampleEvents())))
+	// Capability handshakes and a hostile block.
+	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64, Token: 7, Caps: CapTenant})))
+	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcomeV3(Welcome{Session: 2, Token: 0xbeef, NextSeq: 1, Caps: CapTenant})))
+	f.Add(AppendFrame(nil, FrameEventsBlock, hostileBlock))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ft, payload, err := ReadFrame(bytes.NewReader(data), nil)
@@ -48,8 +48,8 @@ func FuzzReadFrame(f *testing.F) {
 			checkHelloRoundTrip(t, payload)
 		case FrameWelcome:
 			checkWelcomeRoundTrip(t, payload)
-		case FrameEvents:
-			checkEventsRoundTrip(t, payload)
+		case FrameEventsBlock:
+			checkBlockRoundTrip(t, payload)
 		}
 	})
 }
@@ -60,10 +60,10 @@ func FuzzReadFrame(f *testing.F) {
 // panic, and that anything they accept round-trips stably through the
 // encoders.
 func FuzzResume(f *testing.F) {
-	f.Add(EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64, Token: 42, Caps: CapCompress | CapTenant, RouteKey: 5, Auth: "t:k"}))
-	f.Add(EncodeWelcomeV3(Welcome{Session: 1, Token: 0xdead, NextSeq: 2, Caps: CapCompress}))
+	f.Add(EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64, Token: 42, Caps: CapTenant, RouteKey: 5, Auth: "t:k"}))
+	f.Add(EncodeWelcomeV3(Welcome{Session: 1, Token: 0xdead, NextSeq: 2, Caps: CapTenant}))
 	f.Add(EncodeAck(7))
-	f.Add(EncodeEventsSeq(nil, 5, sampleEvents()))
+	f.Add(sampleBlock(5))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
@@ -75,7 +75,7 @@ func FuzzResume(f *testing.F) {
 				t.Fatalf("ack round trip: %d -> %d (%v)", seq, got, err)
 			}
 		}
-		checkEventsRoundTrip(t, data)
+		checkBlockRoundTrip(t, data)
 	})
 }
 
@@ -100,34 +100,10 @@ func checkWelcomeRoundTrip(t *testing.T, payload []byte) {
 	}
 }
 
-// checkEventsRoundTrip: an Events payload the decoder accepts carries a
-// non-zero sequence and re-encodes to the same sequence and events.
-func checkEventsRoundTrip(t *testing.T, payload []byte) {
-	t.Helper()
-	seq, events, err := DecodeEventsSeq(nil, payload)
-	if err != nil {
-		return
-	}
-	if seq == 0 {
-		t.Fatal("decoder accepted sequence 0")
-	}
-	again, back, err := DecodeEventsSeq(nil, EncodeEventsSeq(nil, seq, events))
-	if err != nil || again != seq || len(back) != len(events) {
-		t.Fatalf("events round trip: seq %d/%d, %d/%d events (%v)",
-			seq, again, len(events), len(back), err)
-	}
-	for i := range events {
-		if back[i] != events[i] {
-			t.Fatalf("event %d: %v != %v", i, back[i], events[i])
-		}
-	}
-}
-
 // FuzzDecodeBlock feeds arbitrary bytes to the block decompressor — the
 // payload a hostile or corrupted peer controls — and checks it only
-// ever errors, never panics, and that anything it accepts re-encodes to
-// a block that decodes back to the same events (the codec is stable
-// even if the accepted byte form differs from what our encoder emits).
+// ever errors, never panics, and that anything it accepts passes
+// checkBlockRoundTrip.
 func FuzzDecodeBlock(f *testing.F) {
 	var enc BlockEncoder
 	f.Add(enc.AppendBlock(nil, 1, nil))
@@ -142,32 +118,41 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{1, 1, 1, blockFlate, 0xff})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var dec BlockDecoder
-		seq, events, rawLen, err := dec.DecodeBlockInto(nil, data)
-		if err != nil {
-			return // malformed input must only error, never panic
+	f.Add(hostileBlock)
+
+	f.Fuzz(checkBlockRoundTrip)
+}
+
+// checkBlockRoundTrip: a block the decoder accepts carries a non-zero
+// sequence and a raw length equal to its events' record-form size, and
+// re-encodes to a block that decodes back to the same events (the codec
+// is stable even if the accepted byte form differs from what our
+// encoder emits).
+func checkBlockRoundTrip(t *testing.T, payload []byte) {
+	t.Helper()
+	var dec BlockDecoder
+	seq, events, rawLen, err := dec.DecodeBlockInto(nil, payload)
+	if err != nil {
+		return // malformed input must only error, never panic
+	}
+	if seq == 0 {
+		t.Fatal("decoder accepted sequence 0")
+	}
+	if want := fj.EventsSize(events); rawLen != want {
+		t.Fatalf("decoder accepted raw length %d for a %d-byte record form", rawLen, want)
+	}
+	again := new(BlockEncoder).AppendBlock(nil, seq, events)
+	var dec2 BlockDecoder
+	seq2, back, _, err := dec2.DecodeBlockInto(nil, again)
+	if err != nil {
+		t.Fatalf("re-decode of re-encoded block failed: %v", err)
+	}
+	if seq2 != seq || len(back) != len(events) {
+		t.Fatalf("block round trip: seq %d/%d, %d/%d events", seq, seq2, len(events), len(back))
+	}
+	for i := range events {
+		if back[i] != events[i] {
+			t.Fatalf("event %d: %v != %v", i, back[i], events[i])
 		}
-		if seq == 0 {
-			t.Fatal("decoder accepted sequence 0")
-		}
-		if rawLen > MaxFrameSize {
-			t.Fatalf("decoder accepted raw length %d", rawLen)
-		}
-		var enc2 BlockEncoder
-		again := enc2.AppendBlock(nil, seq, events)
-		var dec2 BlockDecoder
-		seq2, back, _, err := dec2.DecodeBlockInto(nil, again)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded block failed: %v", err)
-		}
-		if seq2 != seq || len(back) != len(events) {
-			t.Fatalf("block round trip: seq %d/%d, %d/%d events", seq, seq2, len(events), len(back))
-		}
-		for i := range events {
-			if back[i] != events[i] {
-				t.Fatalf("event %d: %v != %v", i, back[i], events[i])
-			}
-		}
-	})
+	}
 }

@@ -14,7 +14,7 @@
 // A session opens with the 4-byte stream magic ("RDS" + version), sent
 // by the client, followed by frames in both directions:
 //
-//	client → server: Hello, (Events | Heartbeat)*, Finish
+//	client → server: Hello, (EventsBlock | Heartbeat)*, Finish
 //	server → client: Welcome, (Ack | Heartbeat)*, Report | Error
 //
 // A server draining on SIGTERM may send a Report frame with the Partial
@@ -35,27 +35,28 @@
 //   - Hello carries a resume token (zero for a fresh session) and
 //     Welcome answers with the token to present on reconnect plus the
 //     next sequence number the server expects;
-//   - every Events frame carries a monotonic sequence number, and the
-//     server answers with Ack frames naming the highest contiguously
+//   - every EventsBlock frame carries a monotonic sequence number, and
+//     the server answers with Ack frames naming the highest contiguously
 //     ingested sequence — the client may discard acknowledged batches
 //     from its replay buffer;
 //   - duplicate sequences (a client resending past an ack it never saw)
 //     are discarded, so replay after reconnect is idempotent;
 //   - Heartbeat frames flow both ways to bound dead-peer detection.
 //
+// Event batches always ship as EventsBlock frames, each a
+// self-contained compressed block (delta/varint encoding of task IDs
+// and addresses plus a copy-run layer exploiting the repetitive
+// fork-join structure, with flate and raw record-form fallbacks for
+// blocks the deltas do not shrink — see block.go). Blocks are acked,
+// deduplicated and resent by sequence number, so resume semantics hold
+// at block boundaries; because every block resets its own delta state,
+// a block resent to a freshly restarted server decodes to the same
+// events.
+//
 // Hello and Welcome also carry a capability bitmask; the session's
 // capability set is the intersection of what the client offered and
 // what the server granted, so either side can veto a feature without
-// breaking the handshake. With CapCompress granted, event batches ship
-// as EventsBlock frames, each a self-contained compressed block
-// (delta/varint encoding of task IDs and addresses plus a copy-run
-// layer exploiting the repetitive fork-join structure, with a flate
-// fallback for incompressible blocks — see block.go). Without it they
-// ship as plain Events frames. Blocks carry the same sequence numbers
-// as Events frames and are acked, deduplicated and resent identically,
-// so resume semantics hold at block boundaries; because every block
-// resets its own delta state, a block resent to a freshly restarted
-// server decodes to the same events.
+// breaking the handshake.
 //
 //	magic      hello payload                   welcome payload
 //	"RDS\x03"  engine, batch, resume token,    session, token, next seq,
@@ -63,7 +64,8 @@
 //	           auth credential                 (intersection)
 //
 //	capability   bit     meaning
-//	CapCompress  1<<0    sender may use EventsBlock (compressed) frames
+//	(retired)    1<<0    unused; once offered block compression, which
+//	                     is now unconditional
 //	CapTenant    1<<1    hello carries a tenant auth token ("tenant:key")
 //
 // # Tenant auth (CapTenant)
@@ -115,11 +117,9 @@ const (
 
 // Capability bits. A session's capability set is the intersection
 // of the bits the client offered in Hello and the bits the server
-// granted back in Welcome.
+// granted back in Welcome. Bit 0 is retired and stays unused, so the
+// handshake layouts and their varint sizes are unchanged.
 const (
-	// CapCompress lets the client send EventsBlock frames: event batches
-	// compressed with the trace-aware block codec in this package.
-	CapCompress uint64 = 1 << 0
 	// CapTenant marks a Hello carrying a tenant auth credential in its
 	// trailing Auth field. A server grants the bit back when it checked
 	// the credential (it runs with tenant keys); an open server leaves it
@@ -140,9 +140,9 @@ const (
 	// FrameWelcome is the server's session grant (EncodeWelcomeV3
 	// payload).
 	FrameWelcome FrameType = 2
-	// FrameEvents carries a sequenced batch of events (EncodeEventsSeq
-	// payload).
-	FrameEvents FrameType = 3
+	// Type 3 is retired (it carried plain, uncompressed event batches);
+	// a server answers it as an unexpected frame.
+
 	// FrameFinish declares the client's stream complete; the server
 	// answers with a Report. Empty payload.
 	FrameFinish FrameType = 4
@@ -158,9 +158,9 @@ const (
 	// is empty; a peer that sees no frame for several heartbeat
 	// intervals may declare the connection dead.
 	FrameHeartbeat FrameType = 8
-	// FrameEventsBlock (CapCompress) carries a batch of events as a
-	// self-contained compressed block (BlockEncoder payload). Sequenced,
-	// acked and resent exactly like an Events frame.
+	// FrameEventsBlock carries a sequenced batch of events as a
+	// self-contained compressed block (BlockEncoder payload); the server
+	// acks it, and the client resends it on resume.
 	FrameEventsBlock FrameType = 9
 	// FrameReplHello ( primary → follower) opens a store-replication
 	// stream instead of a detection session: it names the source chain
@@ -185,8 +185,6 @@ func (t FrameType) String() string {
 		return "hello"
 	case FrameWelcome:
 		return "welcome"
-	case FrameEvents:
-		return "events"
 	case FrameFinish:
 		return "finish"
 	case FrameReport:
@@ -370,8 +368,7 @@ type Hello struct {
 	// session, a non-zero value re-attaches to the session whose Welcome
 	// carried it.
 	Token uint64
-	// Caps is the capability bitmask the client offers (CapCompress and
-	// friends).
+	// Caps is the capability bitmask the client offers (CapTenant).
 	Caps uint64
 	// RouteKey is routing-relevant handshake metadata for session
 	// gateways: a client-chosen placement key. A cluster gateway
@@ -455,7 +452,7 @@ type Welcome struct {
 	// Token is the resume token a reconnecting client presents in Hello
 	// to re-attach to this session. Never zero.
 	Token uint64
-	// NextSeq is the next Events sequence number the server expects: 1
+	// NextSeq is the next EventsBlock sequence number the server expects: 1
 	// for a fresh session, last-contiguously-ingested+1 on resume. The
 	// client resends its replay buffer from here; earlier sequences are
 	// already ingested and would be discarded.
@@ -504,47 +501,6 @@ func DecodeAck(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("wire: ack: %w", ErrTruncated)
 	}
 	return seq, nil
-}
-
-// ---- event payloads -----------------------------------------------------
-
-// EncodeEventsSeq appends an Events frame payload to dst: the batch's
-// monotonic sequence number, the event count, then the record stream
-// (fj.AppendEvents form).
-func EncodeEventsSeq(dst []byte, seq uint64, events []fj.Event) []byte {
-	dst = binary.AppendUvarint(dst, seq)
-	dst = binary.AppendUvarint(dst, uint64(len(events)))
-	return fj.AppendEvents(dst, events)
-}
-
-// DecodeEventsSeq parses an EncodeEventsSeq payload, appending the
-// events to dst. A zero sequence is a framing error: batches are
-// numbered from 1 so that acks can name "nothing ingested" as 0.
-// Trailing bytes after the declared count are a framing error too.
-func DecodeEventsSeq(dst []fj.Event, payload []byte) (uint64, []fj.Event, error) {
-	seq, k := binary.Uvarint(payload)
-	if k <= 0 {
-		return 0, dst, fmt.Errorf("wire: events: sequence: %w", ErrTruncated)
-	}
-	if seq == 0 {
-		return 0, dst, errors.New("wire: events: zero sequence number")
-	}
-	payload = payload[k:]
-	count, k := binary.Uvarint(payload)
-	if k <= 0 {
-		return seq, dst, fmt.Errorf("wire: events: count: %w", ErrTruncated)
-	}
-	if count > MaxFrameSize {
-		return seq, dst, fmt.Errorf("wire: events: implausible count %d", count)
-	}
-	dst, rest, err := fj.DecodeEventsBytes(dst, payload[k:], int(count))
-	if err != nil {
-		return seq, dst, fmt.Errorf("wire: events: %w", err)
-	}
-	if len(rest) != 0 {
-		return seq, dst, fmt.Errorf("wire: events: %d trailing bytes after %d events", len(rest), count)
-	}
-	return seq, dst, nil
 }
 
 // ---- report payload -----------------------------------------------------

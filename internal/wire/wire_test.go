@@ -21,13 +21,17 @@ func sampleEvents() []fj.Event {
 	}
 }
 
+// sampleBlock is an EventsBlock payload carrying sampleEvents.
+func sampleBlock(seq uint64) []byte {
+	return new(BlockEncoder).AppendBlock(nil, seq, sampleEvents())
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteMagic(&buf); err != nil {
 		t.Fatal(err)
 	}
-	payload := EncodeEventsSeq(nil, 1, sampleEvents())
-	if err := WriteFrame(&buf, FrameEvents, payload); err != nil {
+	if err := WriteFrame(&buf, FrameEventsBlock, sampleBlock(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFrame(&buf, FrameFinish, nil); err != nil {
@@ -41,10 +45,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ft != FrameEvents {
-		t.Fatalf("frame type %v, want events", ft)
+	if ft != FrameEventsBlock {
+		t.Fatalf("frame type %v, want events-block", ft)
 	}
-	seq, events, err := DecodeEventsSeq(nil, got)
+	var dec BlockDecoder
+	seq, events, _, err := dec.DecodeBlockInto(nil, got)
 	if err != nil || seq != 1 {
 		t.Fatalf("seq=%d err=%v", seq, err)
 	}
@@ -64,7 +69,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestTruncatedFrameIsSentinel(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameEvents, EncodeEventsSeq(nil, 1, sampleEvents())); err != nil {
+	if err := WriteFrame(&buf, FrameEventsBlock, sampleBlock(1)); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -85,7 +90,7 @@ func TestTruncatedFrameIsSentinel(t *testing.T) {
 
 func TestChecksumCatchesCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameEvents, EncodeEventsSeq(nil, 1, sampleEvents())); err != nil {
+	if err := WriteFrame(&buf, FrameEventsBlock, sampleBlock(1)); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -107,12 +112,12 @@ func TestChecksumCatchesCorruption(t *testing.T) {
 }
 
 func TestOversizedFrameRejected(t *testing.T) {
-	hdr := []byte{byte(FrameEvents), 0xFF, 0xFF, 0xFF, 0xFF}
+	hdr := []byte{byte(FrameEventsBlock), 0xFF, 0xFF, 0xFF, 0xFF}
 	_, _, err := ReadFrame(bytes.NewReader(hdr), nil)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if err := WriteFrame(bytes.NewBuffer(nil), FrameEvents, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrame(bytes.NewBuffer(nil), FrameEventsBlock, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("write err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -159,7 +164,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		{},
 		{Engine: "2d"},
 		{Engine: "fasttrack", BatchSize: 256, Token: 1<<63 + 5},
-		{Engine: "vc", BatchSize: 32, Token: 99, Caps: CapCompress | CapTenant, RouteKey: 1 << 40, Auth: "acme:k"},
+		{Engine: "vc", BatchSize: 32, Token: 99, Caps: CapTenant, RouteKey: 1 << 40, Auth: "acme:k"},
 	} {
 		got, err := DecodeHelloV3(EncodeHelloV3(h))
 		if err != nil {
@@ -183,7 +188,7 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestWelcomeReportRoundTrip(t *testing.T) {
-	want := Welcome{Session: 42, Token: 0xfeedface, NextSeq: 4097, Caps: CapCompress}
+	want := Welcome{Session: 42, Token: 0xfeedface, NextSeq: 4097, Caps: CapTenant}
 	w, err := DecodeWelcomeV3(EncodeWelcomeV3(want))
 	if err != nil || w != want {
 		t.Fatalf("welcome: %+v err=%v", w, err)
@@ -207,39 +212,11 @@ func TestAckRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEventsSeqRoundTrip(t *testing.T) {
-	payload := EncodeEventsSeq(nil, 42, sampleEvents())
-	seq, events, err := DecodeEventsSeq(nil, payload)
-	if err != nil || seq != 42 {
-		t.Fatalf("seq=%d err=%v", seq, err)
-	}
-	want := sampleEvents()
-	if len(events) != len(want) {
-		t.Fatalf("decoded %d events, want %d", len(events), len(want))
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("event %d: %v, want %v", i, events[i], want[i])
-		}
-	}
-	// Sequence zero is reserved ("nothing ingested" in acks).
-	if _, _, err := DecodeEventsSeq(nil, EncodeEventsSeq(nil, 0, want)); err == nil {
-		t.Fatal("zero sequence accepted")
-	}
-	if _, _, err := DecodeEventsSeq(nil, nil); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("empty payload: %v", err)
-	}
-	// Trailing bytes past the declared count are a framing error.
-	if _, _, err := DecodeEventsSeq(nil, append(EncodeEventsSeq(nil, 1, want), 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}
-
 func TestScratchReuse(t *testing.T) {
 	var buf bytes.Buffer
-	payload := EncodeEventsSeq(nil, 1, sampleEvents())
+	payload := sampleBlock(1)
 	for i := 0; i < 3; i++ {
-		if err := WriteFrame(&buf, FrameEvents, payload); err != nil {
+		if err := WriteFrame(&buf, FrameEventsBlock, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
