@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify fmt-check race vet shard-parity store-parity bench bench-json bench-smoke bench-selfcheck serve-smoke chaos-smoke compress-smoke cluster-smoke store-smoke replication-smoke fuzz fuzz-smoke apidiff clean
+.PHONY: all build test verify fmt-check race vet shard-parity store-parity bench bench-json bench-smoke bench-selfcheck bench-pairs serve-smoke chaos-smoke compress-smoke cluster-smoke store-smoke replication-smoke fuzz fuzz-smoke apidiff clean
 
 all: build test
 
@@ -69,6 +69,17 @@ bench-smoke:
 # accounting error.
 bench-selfcheck:
 	bash perfbench/run.sh --selfcheck
+
+# Paired perfbench runs behind a performance claim: REV's committed
+# files against the working tree, N runs per side of WORKLOAD,
+# alternating which side runs first; prints each end-to-end metric's
+# median and IQR per side (scripts/bench_pairs.sh). About
+# 2 x N x (20 s + set-up) of wall time.
+REV ?= HEAD
+N ?= 5
+WORKLOAD ?= stream
+bench-pairs:
+	./scripts/bench_pairs.sh $(REV) $(N) $(WORKLOAD)
 
 # Mirrors the CI serve-smoke job: build raced and race2d under the Go
 # race detector, stream the corpus through a real server, assert remote

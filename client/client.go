@@ -10,7 +10,9 @@
 // Every EventsBlock frame carries a
 // monotonically increasing sequence number, and the server acknowledges
 // the highest contiguously ingested sequence. Batches stay in a bounded
-// replay window until acknowledged, so when the connection dies —
+// replay window until acknowledged — as their encoded blocks, so a
+// resend writes the very bytes of the first send without re-encoding
+// (blocks are self-contained) — and when the connection dies —
 // reset, corruption (caught by the frame CRC), truncation, a silent
 // drop — the client reconnects with exponential backoff plus full
 // jitter, presents its resume token, and resends exactly the batches
@@ -31,12 +33,15 @@
 //
 // # Wire compression
 //
-// Batches always ship as compressed EventsBlock frames (delta/varint
-// plus copy-run encoding of the fork-join structure, with flate and raw
-// record-form fallbacks — internal/wire's block codec), typically
-// cutting bytes on the wire several-fold. Compression never touches
-// verdicts: blocks decode to the identical event stream, and
-// Session.Stats reports the blocks/bytes/ratio accounting.
+// Batches always ship as compressed EventsBlock frames of
+// DefaultFrameEvents (4096) events: delta/varint plus copy-run encoding
+// of the fork-join structure, shipped bare when it cuts the batch 8x,
+// else with flate over the delta stream, else as raw record form —
+// internal/wire's block codec. That typically cuts bytes on the wire
+// several-fold. Compression never touches verdicts: blocks decode to
+// the identical event stream, and Session.Stats reports the
+// blocks/bytes/ratio accounting. Each batch is encoded exactly once,
+// so the accounting does not count resends.
 package client
 
 import (
@@ -59,12 +64,16 @@ import (
 )
 
 // DefaultFrameEvents is how many events a Session packs per wire frame
-// before flushing, unless WithFrameEvents says otherwise.
-const DefaultFrameEvents = 512
+// before flushing, unless WithFrameEvents says otherwise. The block
+// codec's flate pass pays Huffman table setup per block on both ends;
+// 4096-event blocks amortise it (internal/wire BenchmarkBlockCodec,
+// EXPERIMENTS E17).
+const DefaultFrameEvents = 4096
 
 // DefaultWindowBatches bounds the replay window (unacknowledged batches
-// held for resend) unless WithReplayWindow says otherwise.
-const DefaultWindowBatches = 64
+// held for resend) unless WithReplayWindow says otherwise: 8 default
+// frames, 32,768 events in flight.
+const DefaultWindowBatches = 8
 
 // ErrPartial marks an incomplete verdict: either a report produced by a
 // draining server (a coherent verdict for the prefix of the stream the
@@ -73,10 +82,10 @@ const DefaultWindowBatches = 64
 var ErrPartial = errors.New("client: partial report (stream did not complete)")
 
 // pending is one sequenced batch awaiting acknowledgement (or retained
-// for restart replay).
+// for restart replay), held as its encoded block payload.
 type pending struct {
-	seq    uint64
-	events []fj.Event
+	seq   uint64
+	block []byte
 }
 
 // Session is one open detection session. It implements fj.Sink and
@@ -99,7 +108,8 @@ type Session struct {
 	nextSeq  uint64 // sequence for the next batch cut from the producer
 	acked    uint64 // highest server-acknowledged sequence
 	window   []pending
-	attempts int // consecutive failed connect attempts
+	spare    [][]byte // block buffers of pruned batches, for reuse
+	attempts int      // consecutive failed connect attempts
 
 	report        *race2d.Report
 	reportPartial bool
@@ -116,9 +126,9 @@ type Session struct {
 
 	lastRecv atomic.Int64 // unix nanos of the last server frame
 
-	wmu     sync.Mutex        // serializes conn writes (producer vs heartbeat)
-	payload []byte            // frame-encoding scratch, under wmu
-	enc     wire.BlockEncoder // block compressor (scratch + counters), under wmu
+	wmu   sync.Mutex        // serializes conn writes (producer vs heartbeat)
+	frame []byte            // frame-encoding scratch, under wmu
+	enc   wire.BlockEncoder // block compressor (scratch + counters), under wmu
 
 	batch []fj.Event // producer-side accumulation
 }
@@ -240,7 +250,11 @@ func (s *Session) connect() error {
 		if attempt > 0 {
 			time.Sleep(backoff(s.opts, attempt))
 		}
-		conn, err := net.DialTimeout("tcp", addr, s.opts.DialTimeout)
+		dial := s.opts.dial
+		if dial == nil {
+			dial = net.DialTimeout
+		}
+		conn, err := dial("tcp", addr, s.opts.DialTimeout)
 		if err != nil {
 			s.noteNetErr(fmt.Errorf("client: dial %s: %w", addr, err))
 			s.nextEndpoint()
@@ -422,14 +436,17 @@ func terminalRefusal(msg string) bool {
 }
 
 // pruneLocked drops acknowledged batches from the window (kept under
-// RetainAll for restart replay).
+// RetainAll for restart replay), keeping their buffers for reuse. Only
+// the producer encodes into a spare buffer, and never while one of its
+// own writes is in flight, so a block pruned mid-write is safe.
 func (s *Session) pruneLocked() {
 	if s.opts.RetainAll {
 		return
 	}
 	i := 0
 	for i < len(s.window) && s.window[i].seq <= s.acked {
-		s.window[i].events = nil
+		s.spare = append(s.spare, s.window[i].block[:0])
+		s.window[i].block = nil
 		i++
 	}
 	if i > 0 {
@@ -453,7 +470,7 @@ func (s *Session) resendWindow() bool {
 		return false
 	}
 	for _, p := range todo {
-		if err := s.writeEvents(conn, bw, p); err != nil {
+		if err := s.writeFrame(conn, bw, wire.FrameEventsBlock, p.block); err != nil {
 			s.killConn(gen, err)
 			return false
 		}
@@ -469,23 +486,18 @@ func (s *Session) resendWindow() bool {
 	return true
 }
 
-// writeEvents writes one sequenced batch as a compressed block.
-// Resends re-encode; the sequence number, not the byte form, is the
-// batch's identity.
-func (s *Session) writeEvents(conn net.Conn, bw *bufio.Writer, p pending) error {
-	return s.writeFrame(conn, bw, wire.FrameEventsBlock, func(dst []byte) []byte {
-		return s.enc.AppendBlock(dst, p.seq, p.events)
-	})
-}
-
-// writeFrame encodes (via enc, into the shared scratch) and writes one
-// frame under the write lock with a fresh write deadline.
-func (s *Session) writeFrame(conn net.Conn, bw *bufio.Writer, ft wire.FrameType, enc func([]byte) []byte) error {
+// writeFrame frames payload into the shared scratch and writes it
+// under the write lock with a fresh write deadline.
+func (s *Session) writeFrame(conn net.Conn, bw *bufio.Writer, ft wire.FrameType, payload []byte) error {
+	if len(payload) > wire.MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", wire.ErrFrameTooLarge, len(payload))
+	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	s.payload = enc(s.payload[:0])
+	s.frame = wire.AppendFrame(s.frame[:0], ft, payload)
 	conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-	return wire.WriteFrame(bw, ft, s.payload)
+	_, err := bw.Write(s.frame)
+	return err
 }
 
 // flushWire drains the buffered writer under the write lock.
@@ -595,7 +607,7 @@ func (s *Session) heartbeat(conn net.Conn, gen uint64, readerDone <-chan struct{
 			// fill the socket buffer.
 			continue
 		}
-		err := s.writeFrame(conn, bw, wire.FrameHeartbeat, func(dst []byte) []byte { return dst })
+		err := s.writeFrame(conn, bw, wire.FrameHeartbeat, nil)
 		if err == nil {
 			err = s.flushWire(conn, bw)
 		}
@@ -615,9 +627,16 @@ func (s *Session) Event(e fj.Event) {
 	}
 }
 
-// EventBatch buffers a slab of events. Implements fj.BatchSink.
+// EventBatch buffers a slab of events. Implements fj.BatchSink. Full
+// frames are encoded straight from events, which the session does not
+// retain.
 func (s *Session) EventBatch(events []fj.Event) {
 	for len(events) > 0 {
+		if len(s.batch) == 0 && len(events) >= s.opts.EventsPerFrame {
+			s.sendBatch(events[:s.opts.EventsPerFrame])
+			events = events[s.opts.EventsPerFrame:]
+			continue
+		}
 		n := min(s.opts.EventsPerFrame-len(s.batch), len(events))
 		s.batch = append(s.batch, events[:n]...)
 		events = events[n:]
@@ -633,15 +652,16 @@ func (s *Session) flushFrame() {
 	if len(s.batch) == 0 {
 		return
 	}
-	events := append([]fj.Event(nil), s.batch...)
+	s.sendBatch(s.batch)
 	s.batch = s.batch[:0]
-	s.sendBatch(events)
 }
 
 // sendBatch admits one batch into the replay window (blocking while the
-// window is full) and writes it to the wire. After the circuit breaks
-// or the server has already rendered a verdict, batches are dropped —
-// Finish will report what happened.
+// window is full), encodes it once into a block, and writes it to the
+// wire. The window keeps the block, not events, so the caller may reuse
+// events on return. After the circuit breaks or the server has already
+// rendered a verdict, batches are dropped — Finish will report what
+// happened.
 func (s *Session) sendBatch(events []fj.Event) {
 	// Window admission, with a stall bound: a full window that sees no
 	// ack progress for FinishTimeout means the connection is dead in a
@@ -684,8 +704,20 @@ func (s *Session) sendBatch(events []fj.Event) {
 		s.mu.Unlock()
 		return
 	}
-	p := pending{seq: s.nextSeq, events: events}
+	p := pending{seq: s.nextSeq}
 	s.nextSeq++
+	if n := len(s.spare); n > 0 {
+		p.block = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+	}
+	s.mu.Unlock()
+
+	// Encode outside s.mu, so the reader can process acks meanwhile.
+	s.wmu.Lock()
+	p.block = s.enc.AppendBlock(p.block, p.seq, events)
+	s.wmu.Unlock()
+
+	s.mu.Lock()
 	s.window = append(s.window, p)
 	conn, bw, gen := s.conn, s.bw, s.gen
 	s.mu.Unlock()
@@ -696,7 +728,7 @@ func (s *Session) sendBatch(events []fj.Event) {
 		s.connect()
 		return
 	}
-	if err := s.writeEvents(conn, bw, p); err != nil {
+	if err := s.writeFrame(conn, bw, wire.FrameEventsBlock, p.block); err != nil {
 		s.killConn(gen, err)
 		s.connect()
 	}
@@ -770,7 +802,7 @@ func (s *Session) Finish() (*race2d.Report, error) {
 		if finishedGen != gen {
 			// (Re)send Finish on this connection: a resumed server-side
 			// session needs it again if the original frame was lost.
-			err := s.writeFrame(conn, bw, wire.FrameFinish, func(dst []byte) []byte { return dst })
+			err := s.writeFrame(conn, bw, wire.FrameFinish, nil)
 			if err == nil {
 				err = s.flushWire(conn, bw)
 			}

@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"time"
 )
@@ -39,8 +40,11 @@ func WithBatchSize(n int) Option {
 }
 
 // WithFrameEvents sets the transport batch: events packed per wire
-// frame (default DefaultFrameEvents). Purely a throughput knob; it does
-// not affect the verdict. n must be positive.
+// frame, each encoded as one self-contained block (default
+// DefaultFrameEvents, 4096). Smaller frames pay the block codec's
+// per-block setup more often and ship more bytes per event; larger ones
+// hold more events per unacknowledged batch. Purely a throughput knob;
+// it does not affect the verdict. n must be positive.
 func WithFrameEvents(n int) Option {
 	return func(o *options) error {
 		if n <= 0 {
@@ -148,9 +152,11 @@ func WithBackoff(base, max time.Duration) Option {
 }
 
 // WithReplayWindow bounds the replay window — unacknowledged batches
-// held for resend — in batches (default DefaultWindowBatches). A full
-// window blocks the producer until the server acknowledges progress.
-// n must be positive.
+// held for resend as their encoded blocks — in batches (default
+// DefaultWindowBatches, 8: with the default frame size, 32,768 events
+// in flight). A full window blocks the producer until the server
+// acknowledges progress. Scale it inversely with WithFrameEvents to
+// keep the same number of events in flight. n must be positive.
 func WithReplayWindow(n int) Option {
 	return func(o *options) error {
 		if n <= 0 {
@@ -245,6 +251,10 @@ type options struct {
 	Endpoints         []string      // WithEndpoints
 	RouteKey          uint64        // WithRouteKey
 	AuthToken         string        // WithAuthToken
+
+	// dial opens the transport; nil is net.DialTimeout. A test seam:
+	// no Option sets it.
+	dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 }
 
 // resolve applies opts in order (nil entries are skipped) and fills the

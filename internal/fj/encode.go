@@ -94,11 +94,20 @@ func DecodeTraceInto(r io.Reader, sink Sink, batchSize int) (int, error) {
 	if count > sanityCap {
 		return 0, fmt.Errorf("fj: decode trace: implausible event count %d", count)
 	}
-	if tr, ok := sink.(*Trace); ok && uint64(cap(tr.Events)-len(tr.Events)) < count {
+	if tr, ok := sink.(*Trace); ok {
 		// Recording sink: presize so the whole decode is one allocation.
-		grown := make([]Event, len(tr.Events), uint64(len(tr.Events))+count)
-		copy(grown, tr.Events)
-		tr.Events = grown
+		// Every record is at least two bytes, so a reader that knows how
+		// much input is left caps the presize: a lying header cannot
+		// allocate for more events than the input holds.
+		want := count
+		if lr, ok := r.(interface{ Len() int }); ok {
+			want = min(want, uint64(lr.Len()+br.Buffered())/2)
+		}
+		if uint64(cap(tr.Events)-len(tr.Events)) < want {
+			grown := make([]Event, len(tr.Events), uint64(len(tr.Events))+want)
+			copy(grown, tr.Events)
+			tr.Events = grown
+		}
 	}
 	if int(count) < batchSize {
 		batchSize = int(count)

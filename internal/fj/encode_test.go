@@ -2,7 +2,9 @@ package fj
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,6 +106,24 @@ func TestDecodeRejectsHugeCount(t *testing.T) {
 	buf.Write([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	if _, err := DecodeTrace(&buf); err == nil || !strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestDecodeLyingCountAllocatesLittle: a header under the sanity cap
+// that declares far more events than the input holds must not presize
+// for them (FuzzDecodeTrace found 4 GiB presizes that got the fuzzing
+// process killed).
+func TestDecodeLyingCountAllocatesLittle(t *testing.T) {
+	data := append(append([]byte(nil), TraceMagic[:]...), binary.AppendUvarint(nil, 1<<22)...)
+	data = append(data, byte(EvHalt), 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecodeTrace(bytes.NewReader(data)); err == nil {
+		t.Fatal("decoded a trace declaring 4M events in 2 bytes")
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("decoding a 12-byte trace allocated %d bytes", n)
 	}
 }
 

@@ -112,8 +112,10 @@ type Stats struct {
 	// report the same three counters: compressed event blocks carried,
 	// their payload bytes on the wire, and the raw record-form bytes
 	// they stand for — WireBytesRaw / WireBytesBlocks is the achieved
-	// compression ratio. Per-session detector Reports leave these zero,
-	// preserving local/remote byte parity.
+	// compression ratio. A client counts each batch once, when it is
+	// encoded, so its counters exclude resends; a server counts every
+	// block it read, duplicates included. Per-session detector Reports
+	// leave these zero, preserving local/remote byte parity.
 	WireBlocks      uint64 `json:"wire_blocks,omitempty"`       // compressed event blocks sent/received
 	WireBytesBlocks uint64 `json:"wire_bytes_blocks,omitempty"` // block payload bytes on the wire
 	WireBytesRaw    uint64 `json:"wire_bytes_raw,omitempty"`    // raw record-form bytes the blocks stand for

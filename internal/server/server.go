@@ -72,6 +72,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"crypto/rand"
 	"crypto/subtle"
@@ -1380,9 +1381,15 @@ func (sess *session) serve(conn net.Conn) {
 	var readErr error
 	var blockDec wire.BlockDecoder // per-connection; blocks are self-contained
 	scratch := make([]byte, 0, 64<<10)
+	var ackBuf []byte
+	// Frames are read through a buffer: header, payload and CRC cost
+	// one conn read per buffer fill, not three per frame. The handshake
+	// read the Hello unbuffered, and the client sends nothing more until
+	// the Welcome, so no stream bytes are stranded in another reader.
+	br := bufio.NewReaderSize(conn, 64<<10)
 frames:
 	for {
-		ft, payload, err := wire.ReadFrame(conn, scratch)
+		ft, payload, err := wire.ReadFrame(br, scratch)
 		if err != nil {
 			if !sess.interrupted(err) {
 				readErr = err
@@ -1423,14 +1430,14 @@ frames:
 				protoErr = true
 				break frames
 			}
-			if err := sess.writeAck(conn, nextSeq-1); err != nil {
+			if ackBuf, err = sess.writeAck(conn, ackBuf, nextSeq-1); err != nil {
 				readErr = err
 				break frames
 			}
 		case wire.FrameHeartbeat:
 			// Keepalive: answer with the current ack so the client's
 			// dead-peer detector sees a live server.
-			if err := sess.writeAck(conn, nextSeq-1); err != nil {
+			if ackBuf, err = sess.writeAck(conn, ackBuf, nextSeq-1); err != nil {
 				readErr = err
 				break frames
 			}
@@ -1456,10 +1463,13 @@ frames:
 }
 
 // writeAck sends an Ack frame naming the highest contiguously ingested
-// sequence (0 = nothing yet).
-func (sess *session) writeAck(conn net.Conn, seq uint64) error {
+// sequence (0 = nothing yet), framed into buf, which it returns for
+// reuse.
+func (sess *session) writeAck(conn net.Conn, buf []byte, seq uint64) ([]byte, error) {
+	buf = wire.AppendFrame(buf[:0], wire.FrameAck, wire.EncodeAck(seq))
 	conn.SetWriteDeadline(time.Now().Add(drainGrace))
-	return wire.WriteFrame(conn, wire.FrameAck, wire.EncodeAck(seq))
+	_, err := conn.Write(buf)
+	return buf, err
 }
 
 // teardown closes the pipeline, lets the engine drain, and retires the

@@ -36,17 +36,25 @@ import (
 // so a block resent to a freshly restarted server decodes identically,
 // preserving the resume guarantee.
 //
-// Scheme 2 wraps the raw record form in DEFLATE, for blocks where the
-// deltas do not cooperate; scheme 0 ships the raw form unchanged when
-// nothing wins. Scheme 3 runs DEFLATE over the delta token stream —
-// the two layers compose, because the delta pass turns a trace's long
+// Scheme 3 runs DEFLATE over the delta token stream, with the inflated
+// token-stream length framed first (uvarint) so the decoder can bound
+// its read. The two layers compose: the delta pass turns a trace's
 // strides into a tiny, low-entropy alphabet that Huffman coding then
-// squeezes — with the inflated token-stream length framed first
-// (uvarint) so the decoder can bound its read. The encoder always
-// emits the smallest form it found.
+// squeezes, even on random-address traces whose delta stream is a
+// little longer than the raw form. The encoder ships the delta stream
+// bare when it already cuts the batch 8x; otherwise it ships the
+// smallest of delta+flate, delta and raw (scheme 0, the record form
+// unchanged). Scheme 2, DEFLATE over the raw form, is no longer
+// emitted; the decoder still accepts it from older senders.
+//
+// Blocks are sized for the flate pass: its per-block cost is Huffman
+// table setup on both ends, so the client cuts 4096-event blocks
+// (client.DefaultFrameEvents) — 8x fewer setups than 512-event blocks,
+// and longer runs for the copy layer.
 //
 // The decoder trusts neither count nor rawLen: every record is at least
-// two bytes, so count may not exceed rawLen/2, and every scheme must
+// two bytes, so count may not exceed rawLen/2, a scheme 3 stream may
+// not declare more than maxTokenBytes per event, and every scheme must
 // decode to events whose record form is exactly rawLen bytes. A block
 // cannot claim more events, or more saved bandwidth, than it carries.
 
@@ -63,6 +71,11 @@ const (
 const maxCopyLag = 255
 
 const ringSize = 256 // power of two > maxCopyLag
+
+// maxTokenBytes is the longest token of the delta stream: a literal is
+// tag 0, the kind byte and two varints of at most 10 bytes each. A copy
+// token (two uvarints, the lag at most 2 bytes) is shorter.
+const maxTokenBytes = 1 + 1 + 2*binary.MaxVarintLen64
 
 // maxBlockTask bounds decoded task ids, rejecting hostile blocks whose
 // deltas walk outside any plausible id space (ids are dense from 0).
@@ -82,7 +95,6 @@ const htabSize = 2048 // power of two
 // (the client holds its write lock). The zero value is ready to use.
 type BlockEncoder struct {
 	tuples []tuple
-	raw    []byte
 	delta  []byte
 	htab   [htabSize]int32 // position+1 of the last tuple hashing there
 	fw     *flate.Writer
@@ -104,42 +116,41 @@ func (e *BlockEncoder) AppendBlock(dst []byte, seq uint64, events []fj.Event) []
 	rawLen := fj.EventsSize(events)
 	dst = binary.AppendUvarint(dst, uint64(rawLen))
 
-	// The raw record form is only materialized when the delta stream
-	// loses — a size-only pass prices the comparison, so the common
-	// (compressible) case never builds bytes it will not ship.
-	scheme, body := byte(blockDelta), e.encodeDelta(events)
-	if len(body) >= rawLen {
-		e.raw = fj.AppendEvents(e.raw[:0], events)
-		scheme, body = blockRaw, e.raw
+	// The delta stream is built first (a batch with task ids the delta
+	// decoder refuses ships raw); the raw record form is only
+	// materialized when it ships. A delta stream that already cut the
+	// batch 8x is left alone — past that point flate's
+	// single-digit-percent shavings are not worth a second full pass on
+	// the sender's critical path. Otherwise flate runs over the delta
+	// stream even when that stream is longer than the raw form: the
+	// delta pass turns strides into a low-entropy alphabet, so flate
+	// over deltas beats flate over raw records even on random-address
+	// traces.
+	delta, ok := e.encodeDelta(events)
+	scheme := byte(blockRaw)
+	if ok && len(delta) < rawLen {
+		scheme = blockDelta
 	}
-	// One flate pass over whichever form is winning; for the delta
-	// stream the inflated length is framed so the decoder can bound it.
-	// A delta stream that already cut the batch 8x is left alone — past
-	// that point flate's single-digit-percent shavings are not worth a
-	// second full pass on the sender's critical path.
-	var pre [binary.MaxVarintLen64]byte
-	preLen := 0
-	if scheme == blockDelta && len(body)*8 < rawLen {
-		dst = append(dst, scheme)
-		dst = append(dst, body...)
-		e.Blocks++
-		e.RawBytes += uint64(rawLen)
-		e.WireBytes += uint64(len(dst) - start)
-		return dst
-	}
-	if fb := e.deflate(body); len(fb) < len(body) {
-		if scheme == blockDelta {
-			n := binary.PutUvarint(pre[:], uint64(len(body)))
-			if len(fb)+n < len(body) {
-				scheme, body, preLen = blockDeltaFlate, fb, n
-			}
-		} else {
-			scheme, body = blockFlate, fb
+	var fb []byte
+	// The decoder bounds a flated stream's declared length by
+	// MaxFrameSize, which only a batch near that size in raw form can
+	// exceed.
+	if ok && len(delta)*8 >= rawLen && len(delta) <= MaxFrameSize {
+		f := e.deflate(delta)
+		if len(f)+uvarintLen(uint64(len(delta))) < min(len(delta), rawLen) {
+			scheme, fb = blockDeltaFlate, f
 		}
 	}
 	dst = append(dst, scheme)
-	dst = append(dst, pre[:preLen]...)
-	dst = append(dst, body...)
+	switch scheme {
+	case blockDeltaFlate:
+		dst = binary.AppendUvarint(dst, uint64(len(delta)))
+		dst = append(dst, fb...)
+	case blockDelta:
+		dst = append(dst, delta...)
+	default:
+		dst = fj.AppendEvents(dst, events)
+	}
 
 	e.Blocks++
 	e.RawBytes += uint64(rawLen)
@@ -147,17 +158,30 @@ func (e *BlockEncoder) AppendBlock(dst []byte, seq uint64, events []fj.Event) []
 	return dst
 }
 
+func uvarintLen(x uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], x)
+}
+
 // encodeDelta renders events as the delta+copy-run token stream,
-// reusing the encoder's scratch buffers.
-func (e *BlockEncoder) encodeDelta(events []fj.Event) []byte {
+// reusing the encoder's scratch buffers. It reports false, with no
+// stream, when a task id falls outside [0, maxBlockTask]: the delta
+// decoder refuses those, and only the raw form carries them.
+func (e *BlockEncoder) encodeDelta(events []fj.Event) ([]byte, bool) {
 	tl := e.tuples[:0]
 	var prevT int64
 	var prevU, prevLoc uint64
 	for _, ev := range events {
+		if uint64(ev.T) > maxBlockTask {
+			return nil, false
+		}
 		t := tuple{kind: ev.Kind, dT: int64(ev.T) - prevT}
 		prevT = int64(ev.T)
 		switch ev.Kind {
 		case fj.EvFork, fj.EvJoin:
+			if uint64(ev.U) > maxBlockTask {
+				return nil, false
+			}
 			t.dX = uint64(ev.U) - prevU
 			prevU = uint64(ev.U)
 		case fj.EvRead, fj.EvWrite:
@@ -228,7 +252,7 @@ func (e *BlockEncoder) encodeDelta(events []fj.Event) []byte {
 		}
 	}
 	e.delta = buf
-	return buf
+	return buf, true
 }
 
 // deflate compresses raw with a reusable flate writer, returning the
@@ -325,10 +349,12 @@ func (d *BlockDecoder) DecodeBlockInto(dst []fj.Event, payload []byte) (seq uint
 		if k <= 0 {
 			return 0, dst, 0, fmt.Errorf("wire: block: delta length: %w", ErrTruncated)
 		}
-		// The encoder only deflates a delta stream that beat the raw
-		// form, so a declared length at or past rawLen is hostile.
-		if dl >= rl && rl > 0 || dl > MaxFrameSize {
-			return 0, dst, 0, fmt.Errorf("wire: block: implausible delta length %d (raw %d)", dl, rl)
+		// No token is longer than a literal, and every token carries
+		// at least one event, so a declared length past
+		// maxTokenBytes*count is hostile. The bound caps the inflate
+		// buffer before a single byte is inflated.
+		if dl > maxTokenBytes*count || dl > MaxFrameSize {
+			return 0, dst, 0, fmt.Errorf("wire: block: implausible delta length %d (%d events)", dl, count)
 		}
 		var stream []byte
 		stream, err = d.inflate(body[k:], int(dl))

@@ -2,11 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fj"
+	"repro/internal/workload"
 )
 
 // roundTripBlock encodes events through enc and decodes them back,
@@ -96,6 +101,24 @@ func TestBlockIncompressibleFallsBack(t *testing.T) {
 	raw := len(fj.AppendEvents(nil, events))
 	if len(payload) > raw+32 {
 		t.Fatalf("incompressible batch expanded: wire %d, raw %d", len(payload), raw)
+	}
+}
+
+// TestBlockFarTaskIDsShipRaw: the delta decoder refuses task ids past
+// maxBlockTask, while the raw form carries any id. A batch holding one
+// must ship raw, however well its deltas compress, or the encoder emits
+// a block no decoder accepts.
+func TestBlockFarTaskIDsShipRaw(t *testing.T) {
+	far := []fj.Event{}
+	for i := 0; i < 64; i++ {
+		far = append(far,
+			fj.Event{Kind: fj.EvFork, T: 1, U: maxBlockTask + 1},
+			fj.Event{Kind: fj.EvWrite, T: maxBlockTask + 1, Loc: 7})
+	}
+	var enc BlockEncoder
+	var dec BlockDecoder
+	if s := blockScheme(t, roundTripBlock(t, &enc, &dec, 1, far)); s != blockRaw {
+		t.Fatalf("scheme %d, want %d (raw)", s, blockRaw)
 	}
 }
 
@@ -375,6 +398,175 @@ func BenchmarkDecodeBlock(b *testing.B) {
 		_, dst, _, err = dec.DecodeBlockInto(dst[:0], payload)
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// literalStream is the delta token stream of literalEvents written as
+// four literals, no copy token: task 1 writes locations 2, 3, 4 and 5.
+// Each literal is 4 bytes against a 3-byte record, so the 16-byte
+// stream is longer than the 12-byte record form.
+var literalStream = []byte{
+	0, byte(fj.EvWrite), 2, 4, // dT 1, dX 2 (zigzag)
+	0, byte(fj.EvWrite), 0, 2, // dT 0, dX 1
+	0, byte(fj.EvWrite), 0, 2,
+	0, byte(fj.EvWrite), 0, 2,
+}
+
+var literalEvents = []fj.Event{
+	{Kind: fj.EvWrite, T: 1, Loc: 2},
+	{Kind: fj.EvWrite, T: 1, Loc: 3},
+	{Kind: fj.EvWrite, T: 1, Loc: 4},
+	{Kind: fj.EvWrite, T: 1, Loc: 5},
+}
+
+// deltaFlateBlock frames literalStream as a scheme 3 block declaring
+// an inflated delta length of dl.
+func deltaFlateBlock(dl uint64) []byte {
+	b := []byte{7, byte(len(literalEvents)), byte(fj.EventsSize(literalEvents)), blockDeltaFlate}
+	b = binary.AppendUvarint(b, dl)
+	return append(b, new(BlockEncoder).deflate(literalStream)...)
+}
+
+// TestBlockDecodesDeltaFlateLongerThanRaw: flate runs over the delta
+// stream even where that stream is longer than the record form, so the
+// decoder must accept a scheme 3 block whose inflated stream exceeds
+// rawLen.
+func TestBlockDecodesDeltaFlateLongerThanRaw(t *testing.T) {
+	if len(literalStream) <= fj.EventsSize(literalEvents) {
+		t.Fatalf("stream %d bytes, record form %d: the stream must be the longer", len(literalStream), fj.EventsSize(literalEvents))
+	}
+	var dec BlockDecoder
+	seq, out, rawLen, err := dec.DecodeBlockInto(nil, deltaFlateBlock(uint64(len(literalStream))))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if seq != 7 || rawLen != fj.EventsSize(literalEvents) || len(out) != len(literalEvents) {
+		t.Fatalf("seq %d, raw %d, %d events", seq, rawLen, len(out))
+	}
+	for i := range literalEvents {
+		if out[i] != literalEvents[i] {
+			t.Fatalf("event %d: %v, want %v", i, out[i], literalEvents[i])
+		}
+	}
+}
+
+// TestBlockDecoderBoundsDeltaLength: no token is longer than
+// maxTokenBytes, so a scheme 3 block declaring a longer delta stream
+// than its events could need is refused before inflating.
+func TestBlockDecoderBoundsDeltaLength(t *testing.T) {
+	if maxTokenBytes != 22 {
+		t.Fatalf("maxTokenBytes = %d, want 22", maxTokenBytes)
+	}
+	var dec BlockDecoder
+	_, _, _, err := dec.DecodeBlockInto(nil, deltaFlateBlock(maxTokenBytes*uint64(len(literalEvents))+1))
+	if err == nil || !strings.Contains(err.Error(), "implausible delta length") {
+		t.Fatalf("got %v, want an implausible delta length error", err)
+	}
+}
+
+// forkJoinEvents records random fork-join programs back to back and
+// returns the first n events. Every session events start a fresh run,
+// whose task ids restart at 0, as in one streamed session.
+func forkJoinEvents(tb testing.TB, seed int64, n, session int, mix workload.Mix) []fj.Event {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var out []fj.Event
+	for len(out) < n {
+		tr := &fj.Trace{}
+		_, err := fj.Run(func(t *fj.Task) {
+			for len(tr.Events) < session {
+				workload.ForkJoin{Seed: rng.Int63(), Ops: 400, MaxDepth: 8, Mix: mix}.Program()(t)
+			}
+		}, tr, fj.Options{AutoJoin: true})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, tr.Events...)
+	}
+	return out[:n]
+}
+
+// blockScheme returns the scheme byte of an encoded block.
+func blockScheme(tb testing.TB, payload []byte) byte {
+	tb.Helper()
+	for range 3 { // seq, count, rawLen
+		_, k := binary.Uvarint(payload)
+		if k <= 0 {
+			tb.Fatal("truncated block header")
+		}
+		payload = payload[k:]
+	}
+	return payload[0]
+}
+
+// TestBlockRandomAddressShipsDeltaFlate: on a random-address fork-join
+// block the delta stream does not beat the record form before flate,
+// yet flate over the delta stream beats flate over the record form.
+// The encoder must pick delta+flate, not flate over raw records.
+func TestBlockRandomAddressShipsDeltaFlate(t *testing.T) {
+	events := forkJoinEvents(t, 1, 4096, 4096, workload.Mix{Locs: 128, ReadFrac: 0.8, Block: 2})
+	var enc BlockEncoder
+	var dec BlockDecoder
+	payload := roundTripBlock(t, &enc, &dec, 1, events)
+	if s := blockScheme(t, payload); s != blockDeltaFlate {
+		t.Fatalf("scheme %d, want %d (delta+flate)", s, blockDeltaFlate)
+	}
+}
+
+// codecClasses are the traces BenchmarkBlockCodec cuts into blocks,
+// shaped like the `perfbench` inputs: the stream pipeline, the stream
+// fork-join trace (one long run), and the random-address verdicts
+// traces (~4,000-event sessions back to back).
+func codecClasses(tb testing.TB) map[string][]fj.Event {
+	pipe := &fj.Trace{}
+	if _, err := (workload.Pipeline{Stages: 16, Items: 500, Payload: 4, Shared: true, RacySharing: true}).Run(pipe); err != nil {
+		tb.Fatal(err)
+	}
+	const n = 1 << 17
+	return map[string][]fj.Event{
+		"pipeline":       pipe.Events[:min(n, len(pipe.Events))],
+		"fork-join":      forkJoinEvents(tb, 1, n, n, workload.Mix{Locs: 1 << 16, ReadFrac: 1, Block: 4}),
+		"random-address": forkJoinEvents(tb, 2, n, 4000, workload.Mix{Locs: 128, ReadFrac: 0.8, Block: 2}),
+	}
+}
+
+// BenchmarkBlockCodec prices the block size: each class's trace is cut
+// into blocks of frame events, encoded, and decoded back. It reports
+// wire bytes and encode/decode ns per event; EXPERIMENTS E17 records
+// the table behind client.DefaultFrameEvents.
+//
+//	go test -run=NONE -bench BlockCodec ./internal/wire
+func BenchmarkBlockCodec(b *testing.B) {
+	classes := codecClasses(b)
+	for _, frame := range []int{512, 1024, 2048, 4096, 8192} {
+		for _, class := range []string{"pipeline", "fork-join", "random-address"} {
+			events := classes[class]
+			b.Run(fmt.Sprintf("frame=%d/%s", frame, class), func(b *testing.B) {
+				var enc BlockEncoder
+				var dec BlockDecoder
+				var buf []byte
+				slab := make([]fj.Event, 0, frame)
+				var encNs, decNs time.Duration
+				for range b.N {
+					for off := 0; off < len(events); off += frame {
+						cut := events[off:min(off+frame, len(events))]
+						t0 := time.Now()
+						buf = enc.AppendBlock(buf[:0], 1, cut)
+						t1 := time.Now()
+						var err error
+						if _, slab, _, err = dec.DecodeBlockInto(slab[:0], buf); err != nil || len(slab) != len(cut) {
+							b.Fatalf("block at %d does not round-trip: %v", off, err)
+						}
+						encNs += t1.Sub(t0)
+						decNs += time.Since(t1)
+					}
+				}
+				total := float64(b.N) * float64(len(events))
+				b.ReportMetric(float64(enc.WireBytes)/total, "B/event")
+				b.ReportMetric(float64(encNs)/total, "enc-ns/event")
+				b.ReportMetric(float64(decNs)/total, "dec-ns/event")
+			})
 		}
 	}
 }

@@ -119,6 +119,8 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Add(hostileBlock)
+	f.Add(deltaFlateBlock(uint64(len(literalStream))))
+	f.Add(deltaFlateBlock(maxTokenBytes*uint64(len(literalEvents)) + 1))
 
 	f.Fuzz(checkBlockRoundTrip)
 }

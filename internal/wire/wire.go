@@ -46,12 +46,13 @@
 // Event batches always ship as EventsBlock frames, each a
 // self-contained compressed block (delta/varint encoding of task IDs
 // and addresses plus a copy-run layer exploiting the repetitive
-// fork-join structure, with flate and raw record-form fallbacks for
-// blocks the deltas do not shrink — see block.go). Blocks are acked,
-// deduplicated and resent by sequence number, so resume semantics hold
-// at block boundaries; because every block resets its own delta state,
-// a block resent to a freshly restarted server decodes to the same
-// events.
+// fork-join structure, a flate pass over that delta stream for blocks
+// the deltas alone do not shrink 8x, and a raw record-form fallback —
+// see block.go). Blocks are acked, deduplicated and resent by sequence
+// number, so resume semantics hold at block boundaries; because every
+// block resets its own delta state, a block resent to a freshly
+// restarted server decodes to the same events, and a client resends
+// the bytes it first sent.
 //
 // Hello and Welcome also carry a capability bitmask; the session's
 // capability set is the intersection of what the client offered and
@@ -297,9 +298,8 @@ func AppendFrame(dst []byte, t FrameType, payload []byte) []byte {
 	dst = append(dst, byte(t))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
-	sum := crc32.NewIEEE()
-	sum.Write(dst[len(dst)-len(payload)-headerSize:])
-	return binary.LittleEndian.AppendUint32(dst, sum.Sum32())
+	sum := crc32.ChecksumIEEE(dst[len(dst)-len(payload)-headerSize:])
+	return binary.LittleEndian.AppendUint32(dst, sum)
 }
 
 // WriteFrame writes one frame to w.
@@ -337,10 +337,8 @@ func ReadFrame(r io.Reader, scratch []byte) (t FrameType, payload []byte, err er
 	if _, err := io.ReadFull(r, tail[:]); err != nil {
 		return 0, nil, fmt.Errorf("wire: read %s checksum: %w", t, wrapEOF(err))
 	}
-	sum := crc32.NewIEEE()
-	sum.Write(hdr[:])
-	sum.Write(payload)
-	if got, want := sum.Sum32(), binary.LittleEndian.Uint32(tail[:]); got != want {
+	got := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
+	if want := binary.LittleEndian.Uint32(tail[:]); got != want {
 		return 0, nil, fmt.Errorf("%w: frame %s: %08x != %08x", ErrChecksum, t, got, want)
 	}
 	return t, payload, nil
