@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify fmt-check race vet shard-parity store-parity bench bench-json bench-smoke bench-selfcheck bench-pairs serve-smoke chaos-smoke compress-smoke cluster-smoke store-smoke replication-smoke fuzz fuzz-smoke apidiff clean
+.PHONY: all build test verify perfbench-build fmt-check race vet shard-parity store-parity bench bench-json bench-smoke bench-selfcheck bench-pairs serve-smoke chaos-smoke compress-smoke cluster-smoke store-smoke replication-smoke fuzz fuzz-smoke apidiff clean
 
 all: build test
 
@@ -38,8 +38,14 @@ store-parity:
 # Mirrors the CI test job step for step (.github/workflows/ci.yml):
 # gofmt gate, vet, build, the full suite, the full suite under the Go
 # race detector, the sharded-vs-serial parity gate, and the durable
-# store's differential/tamper gates.
-verify: fmt-check vet build test race shard-parity store-parity
+# store's differential/tamper gates. It adds one step CI runs in its
+# bench-selfcheck job instead: perfbench-build compiles and vets the
+# nested perfbench module, which `go build ./...` skips, so an API
+# change that breaks the benchmark fails here too.
+verify: fmt-check vet build perfbench-build test race shard-parity store-parity
+
+perfbench-build:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # Detector hot-path benchmarks: storage backends (openaddr/map/shadow) ×
 # ingestion paths (per-event, batched, steady-state) on the pipeline and
@@ -134,6 +140,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeEventsBytes -fuzztime=30s ./internal/fj
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=30s ./internal/wire
+	$(GO) test -fuzz=FuzzBlockEncode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzResume -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/store
 

@@ -34,11 +34,11 @@
 // # Wire compression
 //
 // Batches always ship as compressed EventsBlock frames of
-// DefaultFrameEvents (4096) events: delta/varint plus copy-run encoding
-// of the fork-join structure, shipped bare when it cuts the batch 8x,
-// else with flate over the delta stream, else as raw record form —
-// internal/wire's block codec. That typically cuts bytes on the wire
-// several-fold. Compression never touches verdicts: blocks decode to
+// DefaultFrameEvents (4096) events: per-field deltas against four
+// address cursors, a copy-run layer over the fork-join structure, and
+// a per-block Huffman code for each field, else raw record form when
+// that is smaller — internal/wire's block codec. That typically cuts
+// bytes on the wire several-fold. Compression never touches verdicts: blocks decode to
 // the identical event stream, and Session.Stats reports the
 // blocks/bytes/ratio accounting. Each batch is encoded exactly once,
 // so the accounting does not count resends.
@@ -64,10 +64,10 @@ import (
 )
 
 // DefaultFrameEvents is how many events a Session packs per wire frame
-// before flushing, unless WithFrameEvents says otherwise. The block
-// codec's flate pass pays Huffman table setup per block on both ends;
-// 4096-event blocks amortise it (internal/wire BenchmarkBlockCodec,
-// EXPERIMENTS E17).
+// before flushing, unless WithFrameEvents says otherwise. Every block
+// sends its own Huffman code headers and restarts the copy layer's
+// window; 4096-event blocks amortise both (internal/wire
+// BenchmarkBlockCodec, EXPERIMENTS E17b and E17c).
 const DefaultFrameEvents = 4096
 
 // DefaultWindowBatches bounds the replay window (unacknowledged batches

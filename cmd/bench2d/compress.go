@@ -61,8 +61,9 @@ type compressCell struct {
 }
 
 // compressFrameEvents is the transport batch e17 measures with: block
-// compression works per batch, so the sweep uses batches big enough to
-// fill DEFLATE's window instead of the latency-tuned default.
+// compression works per batch, so the sweep uses batches that give the
+// copy layer long runs and amortise each block's code headers, not the
+// latency-tuned default.
 const compressFrameEvents = 16384
 
 // compressTraces builds the two workload shapes the sweep measures.

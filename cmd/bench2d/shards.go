@@ -186,13 +186,9 @@ func e16(quick, checkAllocs bool) ([]shardCell, int) {
 		// the serial detector) to zero steady-state allocations; the
 		// serial sink is reusable, so cold-then-steady works here.
 		if shards == 1 {
-			var ms0, ms1 runtime.MemStats
 			steady := fj.NewDetectorSink(16)
 			tr.Replay(steady) // cold: builds tables
-			runtime.ReadMemStats(&ms0)
-			tr.Replay(steady)
-			runtime.ReadMemStats(&ms1)
-			c.AllocsPerReplaySteady = ms1.Mallocs - ms0.Mallocs
+			c.AllocsPerReplaySteady = steadyReplayAllocs(tr, steady)
 			if checkAllocs && c.AllocsPerReplaySteady != 0 {
 				fmt.Fprintf(os.Stderr, "bench: shards=1 steady replay allocated %d times, want 0\n",
 					c.AllocsPerReplaySteady)
@@ -217,6 +213,31 @@ func e16(quick, checkAllocs bool) ([]shardCell, int) {
 	}
 	w.Flush()
 	return cells, code
+}
+
+// steadyReplayRuns is how many warm replays steadyReplayAllocs
+// averages over.
+const steadyReplayRuns = 10
+
+// steadyReplayAllocs is the allocations per replay of tr into a warmed
+// sink. Go's malloc counter is process-wide, and the runtime's own
+// background work allocates now and then: with no application goroutine
+// running, a single before/after read around one replay caught a 96-byte
+// object allocated while a GC cycle finished mid-replay, and lone
+// 16-byte objects. So, like testing.AllocsPerRun, it starts from a
+// finished GC, runs at GOMAXPROCS 1, and averages over several replays
+// rounding down: a stray allocation vanishes, a replay that allocates
+// every time still reports at least 1.
+func steadyReplayAllocs(tr *fj.Trace, sink fj.Sink) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for range steadyReplayRuns {
+		tr.Replay(sink)
+	}
+	runtime.ReadMemStats(&ms1)
+	return (ms1.Mallocs - ms0.Mallocs) / steadyReplayRuns
 }
 
 // mergeShards lands freshly measured shard cells in jsonPath without

@@ -201,7 +201,18 @@ func (g *Gateway) Serve(ln net.Listener) error {
 				return err
 			}
 		}
+		// Shutdown and Close set closed under g.mu before they wait on
+		// g.wg, so adding under g.mu while it is false never lands
+		// during a Wait (sync.WaitGroup panics on that). A connection
+		// accepted as the gateway closes is closed unserved.
+		g.mu.Lock()
+		if g.closed {
+			g.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		g.wg.Add(1)
+		g.mu.Unlock()
 		go func() {
 			defer g.wg.Done()
 			g.handle(conn)

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"strings"
@@ -83,6 +84,64 @@ func startGateway(t *testing.T, backends []*backend, wrap func(net.Listener) net
 	go gw.Serve(ln)
 	t.Cleanup(func() { gw.Close() })
 	return gw, ln.Addr().String()
+}
+
+// lateListener hands the gateway its connection only once release is
+// closed, as if the accept loop were descheduled between Accept
+// returning and serving the connection. accepted is closed when the
+// connection is in hand.
+type lateListener struct {
+	net.Listener
+	accepted, release chan struct{}
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	close(l.accepted)
+	<-l.release
+	return c, nil
+}
+
+// TestGatewayShutdownClosesLateAcceptedConn: a connection the accept
+// loop holds while Shutdown waits is closed unserved, never added to
+// the WaitGroup Shutdown is waiting on (an Add that lands as the Wait
+// wakes panics).
+func TestGatewayShutdownClosesLateAcceptedConn(t *testing.T) {
+	late := &lateListener{accepted: make(chan struct{}), release: make(chan struct{})}
+	gw, addr := startGateway(t, []*backend{startBackend(t, server.Config{})}, func(ln net.Listener) net.Listener {
+		late.Listener = ln
+		return late
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A whole handshake, so a gateway that did serve the connection
+	// would proxy it and answer.
+	if err := wire.WriteMagic(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{Engine: "2d"})); err != nil {
+		t.Fatal(err)
+	}
+	<-late.accepted
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := gw.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	close(late.release)
+	// Closed with the handshake unread, the connection ends in EOF or
+	// a reset; a served one answers, and a leaked one times out.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if n, err := conn.Read(make([]byte, 64)); n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection accepted during Shutdown read %d bytes (%v), want it closed unserved", n, err)
+	}
 }
 
 // renderJSON renders a report exactly the way cmd/race2d -json does.

@@ -406,16 +406,28 @@ func (s *Server) Serve(ln net.Listener) error {
 		return net.ErrClosed
 	}
 	s.ln = ln
+	// Shutdown and Close set closed under s.mu before they wait on
+	// s.wg, and every Add below happens under s.mu while closed is
+	// false, so no Add can land while a Wait is under way (which
+	// sync.WaitGroup forbids: it panics). A connection accepted as the
+	// server closes is closed unserved.
+	s.wg.Add(1)
 	s.mu.Unlock()
 
-	s.wg.Add(1)
 	go s.janitor()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return err
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return net.ErrClosed
+		}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.handle(conn)

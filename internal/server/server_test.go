@@ -19,6 +19,7 @@ import (
 	"repro/internal/fj"
 	"repro/internal/prog"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/internal/workload"
 
 	race2d "repro"
@@ -185,6 +186,73 @@ func streamRacyPrefix(t *testing.T, sess *client.Session, n int) {
 	}
 	if err := sess.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
+	}
+}
+
+// lateListener hands the server its connection only once release is
+// closed, as if the accept loop were descheduled between Accept
+// returning and serving the connection. accepted is closed when the
+// connection is in hand.
+type lateListener struct {
+	net.Listener
+	accepted, release chan struct{}
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	close(l.accepted)
+	<-l.release
+	return c, nil
+}
+
+// TestShutdownClosesLateAcceptedConn: a connection the accept loop
+// holds while Shutdown waits must be closed unserved. Serving it would
+// add to the WaitGroup Shutdown is waiting on; when that Add landed as
+// the Wait woke, raced panicked ("sync: WaitGroup is reused before
+// previous Wait has returned"), which a stream benchmark run hit in
+// the set-up loop's start, probe, shut down cycle.
+func TestShutdownClosesLateAcceptedConn(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := &lateListener{Listener: ln, accepted: make(chan struct{}), release: make(chan struct{})}
+	srv := server.New(server.Config{})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(late) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A whole handshake, so a server that did serve the connection
+	// would answer it.
+	if err := wire.WriteMagic(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{Engine: "2d"})); err != nil {
+		t.Fatal(err)
+	}
+	<-late.accepted
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	close(late.release)
+	if err := <-served; !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve returned %v, want net.ErrClosed", err)
+	}
+	// Closed with the handshake unread, the connection ends in EOF or
+	// a reset; a served one answers, and a leaked one times out.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if n, err := conn.Read(make([]byte, 64)); n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection accepted during Shutdown read %d bytes (%v), want it closed unserved", n, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -250,7 +251,7 @@ func TestBlockDecoderChecksDeclaredSizes(t *testing.T) {
 	for _, rawLen := range []byte{12, 100} {
 		delta := append([]byte{7, 4, rawLen, blockDelta}, stream...)
 		flated := append([]byte{7, 4, rawLen, blockDeltaFlate, byte(len(stream))},
-			new(BlockEncoder).deflate(stream)...)
+			deflateBytes(stream)...)
 		for name, payload := range map[string][]byte{"delta": delta, "delta+flate": flated} {
 			var dec BlockDecoder
 			_, out, got, err := dec.DecodeBlockInto(nil, payload)
@@ -425,7 +426,18 @@ var literalEvents = []fj.Event{
 func deltaFlateBlock(dl uint64) []byte {
 	b := []byte{7, byte(len(literalEvents)), byte(fj.EventsSize(literalEvents)), blockDeltaFlate}
 	b = binary.AppendUvarint(b, dl)
-	return append(b, new(BlockEncoder).deflate(literalStream)...)
+	return append(b, deflateBytes(literalStream)...)
+}
+
+// deflateBytes compresses raw as the flate schemes' senders did. The
+// errors are dropped: BestSpeed is a valid level, and writes to a
+// bytes.Buffer cannot fail.
+func deflateBytes(raw []byte) []byte {
+	var buf bytes.Buffer
+	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
+	fw.Write(raw)
+	fw.Close()
+	return buf.Bytes()
 }
 
 // TestBlockDecodesDeltaFlateLongerThanRaw: flate runs over the delta
@@ -490,6 +502,13 @@ func forkJoinEvents(tb testing.TB, seed int64, n, session int, mix workload.Mix)
 // blockScheme returns the scheme byte of an encoded block.
 func blockScheme(tb testing.TB, payload []byte) byte {
 	tb.Helper()
+	scheme, _ := blockSplit(tb, payload)
+	return scheme
+}
+
+// blockSplit returns the scheme byte and the body of an encoded block.
+func blockSplit(tb testing.TB, payload []byte) (byte, []byte) {
+	tb.Helper()
 	for range 3 { // seq, count, rawLen
 		_, k := binary.Uvarint(payload)
 		if k <= 0 {
@@ -497,20 +516,23 @@ func blockScheme(tb testing.TB, payload []byte) byte {
 		}
 		payload = payload[k:]
 	}
-	return payload[0]
+	return payload[0], payload[1:]
 }
 
-// TestBlockRandomAddressShipsDeltaFlate: on a random-address fork-join
-// block the delta stream does not beat the record form before flate,
-// yet flate over the delta stream beats flate over the record form.
-// The encoder must pick delta+flate, not flate over raw records.
-func TestBlockRandomAddressShipsDeltaFlate(t *testing.T) {
+// TestBlockRandomAddressShipsHuffman: a random-address fork-join block
+// has little for the copy layer to find, yet its field-split Huffman
+// body must still beat the record form, and beat the 1.834 B/event the
+// flate-over-deltas scheme shipped on this class.
+func TestBlockRandomAddressShipsHuffman(t *testing.T) {
 	events := forkJoinEvents(t, 1, 4096, 4096, workload.Mix{Locs: 128, ReadFrac: 0.8, Block: 2})
 	var enc BlockEncoder
 	var dec BlockDecoder
 	payload := roundTripBlock(t, &enc, &dec, 1, events)
-	if s := blockScheme(t, payload); s != blockDeltaFlate {
-		t.Fatalf("scheme %d, want %d (delta+flate)", s, blockDeltaFlate)
+	if s := blockScheme(t, payload); s != blockHuffman {
+		t.Fatalf("scheme %d, want %d (huffman)", s, blockHuffman)
+	}
+	if bpe := float64(len(payload)) / float64(len(events)); bpe > 1.834 {
+		t.Fatalf("%.3f B/event, want <= 1.834", bpe)
 	}
 }
 

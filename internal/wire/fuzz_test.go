@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/fj"
@@ -121,8 +122,127 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(hostileBlock)
 	f.Add(deltaFlateBlock(uint64(len(literalStream))))
 	f.Add(deltaFlateBlock(maxTokenBytes*uint64(len(literalEvents)) + 1))
+	// One seed per scheme 4 refusal.
+	for _, c := range huffRefusals() {
+		f.Add(c.block)
+	}
 
 	f.Fuzz(checkBlockRoundTrip)
+}
+
+// FuzzBlockEncode turns arbitrary bytes into an event batch (fuzzEvents)
+// and requires the encoder's block to decode to exactly that batch. It
+// reaches what decode-side fuzzing cannot: the cursor choice, the copy
+// matcher and the code-length limiter on inputs the encoder accepts.
+func FuzzBlockEncode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{byte(fj.EvWrite), 1, 0x40, 0xF1, 200})
+	f.Add([]byte{6 + byte(fj.EvFork), 3, 9, 24 + byte(fj.EvRead), 2, 0x7f, 0xF0, 255})
+	seed := make([]byte, 0, 6*256)
+	for i := range 256 {
+		seed = append(seed, byte(i%240), byte(i), byte(i*7), byte(i*13), byte(i*29), byte(i*31))
+	}
+	f.Add(seed)
+	rng := rand.New(rand.NewSource(3))
+	for range 8 {
+		data := make([]byte, rng.Intn(4096))
+		rng.Read(data)
+		f.Add(data)
+	}
+
+	var enc BlockEncoder
+	var dec BlockDecoder
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events := fuzzEvents(data)
+		block := enc.AppendBlock(nil, 1, events)
+		// The encoder picks its scheme by the body size the codes
+		// predict; that must be the size it writes.
+		if scheme, body := blockSplit(t, block); scheme == blockHuffman && len(body) != enc.bodyBytes() {
+			t.Fatalf("scheme 4 body is %d bytes, predicted %d", len(body), enc.bodyBytes())
+		}
+		_, got, rawLen, err := dec.DecodeBlockInto(nil, block)
+		if err != nil {
+			t.Fatalf("encoder emitted a block its decoder refuses: %v", err)
+		}
+		if rawLen != fj.EventsSize(events) || len(got) != len(events) {
+			t.Fatalf("raw %d, %d events; want raw %d, %d events", rawLen, len(got), fj.EventsSize(events), len(events))
+		}
+		for i := range events {
+			if got[i] != events[i] {
+				t.Fatalf("event %d: %v, want %v", i, got[i], events[i])
+			}
+		}
+	})
+}
+
+// fuzzEvents decodes a byte string into at most 1<<15 events. A byte
+// b below 0xF0 starts an event of kind b%6, with f = b/6 choosing its
+// shape: bit 0 moves the task id (the next byte) near or past
+// maxBlockTask, bit 1 does the same for a fork/join's counterpart, and
+// bits 2-3 move a read/write's address by a small step, a jump of at
+// least 2^13, back to one of eight region bases, or to eight raw
+// bytes. A byte 0xF0+k repeats the last k+1 events 8 x (next byte)
+// times, the long runs the copy layer exists for.
+func fuzzEvents(data []byte) []fj.Event {
+	const maxEvents = 1 << 15
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	var events []fj.Event
+	var loc uint64
+	var bases [8]uint64
+	for len(data) > 0 && len(events) < maxEvents {
+		b := next()
+		if b >= 0xF0 {
+			k, r := int(b&0xF)+1, 8*int(next())
+			if k > len(events) {
+				continue
+			}
+			run := append([]fj.Event(nil), events[len(events)-k:]...)
+			for range r {
+				if len(events)+k > maxEvents {
+					break
+				}
+				events = append(events, run...)
+			}
+			continue
+		}
+		f := b / 6
+		ev := fj.Event{Kind: fj.EventKind(b % 6), T: int(next())}
+		if f&1 != 0 {
+			ev.T += maxBlockTask - 128
+		}
+		switch ev.Kind {
+		case fj.EvFork, fj.EvJoin:
+			ev.U = int(next())
+			if f&2 != 0 {
+				ev.U += maxBlockTask - 128
+			}
+		case fj.EvRead, fj.EvWrite:
+			switch (f >> 2) & 3 {
+			case 0:
+				loc += uint64(int64(int8(next())))
+			case 1:
+				loc += uint64(next()) + 1<<13
+			case 2:
+				i := next() % 8
+				bases[i] += uint64(next())
+				loc = bases[i] << 20
+			case 3:
+				for range 8 {
+					loc = loc<<8 | uint64(next())
+				}
+			}
+			ev.Loc = fj.Addr(loc)
+		}
+		events = append(events, ev)
+	}
+	return events
 }
 
 // checkBlockRoundTrip: a block the decoder accepts carries a non-zero

@@ -44,11 +44,10 @@
 //   - Heartbeat frames flow both ways to bound dead-peer detection.
 //
 // Event batches always ship as EventsBlock frames, each a
-// self-contained compressed block (delta/varint encoding of task IDs
-// and addresses plus a copy-run layer exploiting the repetitive
-// fork-join structure, a flate pass over that delta stream for blocks
-// the deltas alone do not shrink 8x, and a raw record-form fallback —
-// see block.go). Blocks are acked, deduplicated and resent by sequence
+// self-contained compressed block (deltas of task IDs and of addresses
+// against four address cursors, a copy-run layer exploiting the
+// repetitive fork-join structure, a per-block Huffman code for each
+// field, and a raw record-form fallback — see block.go). Blocks are acked, deduplicated and resent by sequence
 // number, so resume semantics hold at block boundaries; because every
 // block resets its own delta state, a block resent to a freshly
 // restarted server decodes to the same events, and a client resends
