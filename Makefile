@@ -54,15 +54,19 @@ perfbench-build:
 bench:
 	$(GO) test -run=NONE -bench BenchmarkDetector -benchmem .
 
-# Regenerate BENCH_race2d.json: the full detector × workload replay
-# matrix, sharded across GOMAXPROCS workers.
+# Regenerate BENCH_race2d.json's replay sections: the full detector ×
+# workload matrix, sharded across GOMAXPROCS workers, and the E13
+# ingestion cells. The E16 "shards" and E17 "compress" sections stay as
+# they are; `-e 16` and `-e 17` regenerate those.
 bench-json:
 	$(GO) run ./cmd/bench2d -e bench -json BENCH_race2d.json
 
 # Mirrors the CI bench-smoke job: reduced sweeps, no JSON artifact,
 # failing on verdict disagreement, accounting violations, steady-state
 # allocations in the 2D hot path, or the e17 bandwidth gate (compressed
-# pipeline wire bytes/event over budget).
+# pipeline wire bytes/event over budget). `-e all` runs the E1-E10, E13,
+# E16 and E17 tables; the service is measured by perfbench
+# (bench-selfcheck), not by bench2d.
 bench-smoke:
 	$(GO) run ./cmd/bench2d -e bench -quick -parallel 2 -json '' -checkallocs
 	$(GO) run ./cmd/bench2d -e all -quick

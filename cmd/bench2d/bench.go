@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -160,20 +159,8 @@ func (c *benchCell) replay(d benchSink) {
 	}
 }
 
-// benchReport is the top-level BENCH_race2d.json document.
-type benchReport struct {
-	GoVersion  string       `json:"go_version"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Parallel   int          `json:"parallel_workers"`
-	Quick      bool         `json:"quick"`
-	WallMs     float64      `json:"replay_wall_ms"`
-	EventsPerS float64      `json:"aggregate_events_per_s"`
-	Results    []benchCell  `json:"results"`
-	Ingest     []ingestCell `json:"ingest,omitempty"`
-	Serve      []serveCell  `json:"serve,omitempty"`
-}
-
-// eBench runs the matrix and writes jsonPath (when non-empty). With
+// eBench runs the matrix and lands its sections in jsonPath (when
+// non-empty), keeping the document's other sections. With
 // checkAllocs, a nonzero steady-state allocation count on any 2D-family
 // cell fails the run — the CI guard for the zero-allocation hot path.
 func eBench(quick bool, workers int, jsonPath string, checkAllocs bool) int {
@@ -344,37 +331,29 @@ func eBench(quick bool, workers int, jsonPath string, checkAllocs bool) int {
 		}
 	}
 
-	// The E13 concurrent-ingestion and E14 streaming-service cells ride
-	// along in the same JSON document, so the performance trajectory
-	// covers ingestion and the service too.
+	// The E13 concurrent-ingestion cells ride along in the same JSON
+	// document, so the performance trajectory covers ingestion too.
 	ingest := e13(quick)
-	serve := e14(quick)
 
 	if jsonPath != "" {
-		report := benchReport{
-			GoVersion:  runtime.Version(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Parallel:   workers,
-			Quick:      quick,
-			WallMs:     float64(wall.Microseconds()) / 1e3,
-			EventsPerS: float64(totalEvents) / wall.Seconds(),
-			Ingest:     ingest,
-			Serve:      serve,
+		results := make([]benchCell, len(cells))
+		for i, c := range cells {
+			results[i] = *c
 		}
-		for _, c := range cells {
-			report.Results = append(report.Results, *c)
-		}
-		data, err := json.MarshalIndent(&report, "", "  ")
+		err := mergeCells(jsonPath, map[string]any{
+			"go_version":             runtime.Version(),
+			"gomaxprocs":             runtime.GOMAXPROCS(0),
+			"parallel_workers":       workers,
+			"quick":                  quick,
+			"replay_wall_ms":         float64(wall.Microseconds()) / 1e3,
+			"aggregate_events_per_s": float64(totalEvents) / wall.Seconds(),
+			"results":                results,
+			"ingest":                 ingest,
+		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench: marshal:", err)
+			fmt.Fprintln(os.Stderr, "bench:", err)
 			return 1
 		}
-		data = append(data, '\n')
-		if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "bench: write:", err)
-			return 1
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
 	}
 	return 0
 }

@@ -17,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -218,28 +217,4 @@ func e17(quick bool) ([]compressCell, int) {
 		}
 	}
 	return cells, code
-}
-
-// mergeCompress lands freshly measured compression cells in jsonPath
-// without disturbing the rest of the document, mirroring mergeServe.
-func mergeCompress(jsonPath string, cells []compressCell) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(jsonPath); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("bench: %s: %w", jsonPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	doc["compress"] = cells
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (compress cells)\n", jsonPath)
-	return nil
 }

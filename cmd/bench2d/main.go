@@ -6,22 +6,25 @@
 //
 // Usage:
 //
-//	bench2d [-e all|1-10|13-17|bench] [-quick]
+//	bench2d [-e all|1-10|13|16|17|bench] [-quick]
 //	        [-parallel N] [-json file] [-cpuprofile file] [-memprofile file]
 //
 // `-e bench` runs the detector × workload replay matrix sharded across
 // -parallel worker goroutines (default GOMAXPROCS; each trace's detector
-// stays serial, as the algorithm requires) and writes the measured
-// ns/op, B/op and allocs/op to -json (default BENCH_race2d.json).
+// stays serial, as the algorithm requires) and lands the measured
+// ns/op, B/op and allocs/op in -json (default BENCH_race2d.json),
+// keeping the sections other experiments wrote there.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -41,7 +44,7 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("bench2d", flag.ContinueOnError)
-	exp := fs.String("e", "all", "experiment to run: all, 1-10, 13, 14, 15, 16, 17, 18, 19, or bench")
+	exp := fs.String("e", "all", "experiment to run: "+experimentList())
 	quick := fs.Bool("quick", false, "smaller sweeps (for smoke tests)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "replay worker goroutines for -e bench")
 	jsonPath := fs.String("json", "BENCH_race2d.json", "output file for -e bench results (empty disables)")
@@ -81,115 +84,117 @@ func run(args []string) int {
 	if *exp == "bench" {
 		return eBench(*quick, *parallel, *jsonPath, *checkAllocs)
 	}
-	matched := *exp == "all"
-	run := func(id string) bool {
-		if *exp == id {
-			matched = true
+	ran := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.id {
+			continue
 		}
-		return *exp == "all" || *exp == id
-	}
-	if run("1") {
-		e1(*quick)
-	}
-	if run("2") {
-		e2(*quick)
-	}
-	if run("3") {
-		e3(*quick)
-	}
-	if run("4") {
-		e4(*quick)
-	}
-	if run("5") {
-		e5(*quick)
-	}
-	if run("6") {
-		e6(*quick)
-	}
-	if run("7") {
-		e7(*quick)
-	}
-	if run("8") {
-		e8(*quick)
-		e8b(*quick)
-	}
-	if run("9") {
-		e9(*quick)
-	}
-	if run("10") {
-		e10()
-	}
-	if run("13") {
-		e13(*quick)
-	}
-	if run("14") {
-		cells := e14(*quick)
-		// Standalone -e 14 lands its cells in the JSON document in
-		// place, so the service trajectory updates without a full -e
-		// bench run.
-		if *exp == "14" && *jsonPath != "" {
-			if err := mergeServe(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
+		ran = true
+		// A standalone run of an experiment with cells lands them in the
+		// JSON document in place, without a full -e bench run.
+		jp := *jsonPath
+		if *exp == "all" {
+			jp = ""
 		}
-	}
-	if run("15") {
-		cells := e15(*quick)
-		if *exp == "15" && *jsonPath != "" {
-			if err := mergeChaos(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
-		}
-	}
-	if run("16") {
-		cells, code := e16(*quick, *checkAllocs)
-		if code != 0 {
+		if code := e.run(*quick, *checkAllocs, jp); code != 0 {
 			return code
 		}
-		if *exp == "16" && *jsonPath != "" {
-			if err := mergeShards(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
-		}
 	}
-	if run("17") {
-		cells, code := e17(*quick)
-		if code != 0 {
-			return code
-		}
-		if *exp == "17" && *jsonPath != "" {
-			if err := mergeCompress(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
-		}
-	}
-	if run("18") {
-		cells := e18(*quick)
-		if *exp == "18" && *jsonPath != "" {
-			if err := mergeCluster(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
-		}
-	}
-	if run("19") {
-		cells := e19(*quick)
-		if *exp == "19" && *jsonPath != "" {
-			if err := mergeStore(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
-		}
-	}
-	if !matched {
-		fmt.Fprintf(os.Stderr, "bench2d: unknown experiment %q (want all, 1-10, 13, 14, 15, 16, 17, 18, 19, or bench)\n", *exp)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "bench2d: unknown experiment %q (want %s)\n", *exp, experimentList())
 		return 2
 	}
 	return 0
+}
+
+// experiments are the -e ids besides bench, in the order -e all runs
+// them. run prints the experiment's table; one with cells lands them
+// under its key in jsonPath when that is not empty.
+var experiments = []struct {
+	id  string
+	run func(quick, checkAllocs bool, jsonPath string) int
+}{
+	{"1", tableOnly(e1)},
+	{"2", tableOnly(e2)},
+	{"3", tableOnly(e3)},
+	{"4", tableOnly(e4)},
+	{"5", tableOnly(e5)},
+	{"6", tableOnly(e6)},
+	{"7", tableOnly(e7)},
+	{"8", tableOnly(func(quick bool) { e8(quick); e8b(quick) })},
+	{"9", tableOnly(e9)},
+	{"10", tableOnly(func(bool) { e10() })},
+	{"13", tableOnly(func(quick bool) { e13(quick) })},
+	{"16", func(quick, checkAllocs bool, jsonPath string) int {
+		cells, code := e16(quick, checkAllocs)
+		if code != 0 {
+			return code
+		}
+		return landCells(jsonPath, "shards", cells)
+	}},
+	{"17", func(quick, _ bool, jsonPath string) int {
+		cells, code := e17(quick)
+		if code != 0 {
+			return code
+		}
+		return landCells(jsonPath, "compress", cells)
+	}},
+}
+
+// tableOnly adapts an experiment that only prints its table.
+func tableOnly(e func(quick bool)) func(bool, bool, string) int {
+	return func(quick, _ bool, _ string) int { e(quick); return 0 }
+}
+
+// experimentList renders the valid -e values for the usage string and
+// the unknown-experiment message.
+func experimentList() string {
+	ids := []string{"all"}
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
+	return strings.Join(ids, ", ") + " or bench"
+}
+
+// landCells merges cells under key in jsonPath, unless that is empty,
+// and returns the exit code.
+func landCells(jsonPath, key string, cells any) int {
+	if jsonPath == "" {
+		return 0
+	}
+	if err := mergeCells(jsonPath, map[string]any{key: cells}); err != nil {
+		fmt.Fprintln(os.Stderr, "bench2d:", err)
+		return 1
+	}
+	return 0
+}
+
+// mergeCells lands each section (a top-level key and its value) in the
+// JSON document at path, keeping every other key, and creates the
+// document when it is absent. Every experiment that writes cells lands
+// them this way, so no run drops another experiment's section.
+func mergeCells(path string, sections map[string]any) error {
+	doc := map[string]any{}
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return fmt.Errorf("bench: %s: %w", path, err)
+		}
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	for k, v := range sections {
+		doc[k] = v
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("\nwrote %s\n", path)
+	return nil
 }
 
 func table(header string) *tabwriter.Writer {

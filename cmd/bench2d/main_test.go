@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -68,5 +71,60 @@ func TestE7QuickAgreesFully(t *testing.T) {
 func TestBadFlag(t *testing.T) {
 	if _, code := capture(t, func() int { return run([]string{"-bogus"}) }); code != 2 {
 		t.Fatalf("exit = %d", code)
+	}
+}
+
+// TestMergeCellsKeepsOtherSections: landing one experiment's cells, or
+// the -e bench matrix, leaves every other section of the document as
+// it was, so `make bench-json` keeps the E16 and E17 cells.
+func TestMergeCellsKeepsOtherSections(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	const compress = `[{"bytes_per_event":0.009,"workload":"pipeline"}]`
+	if err := os.WriteFile(path, []byte(`{"compress":`+compress+`}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	section := func(key string) string {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if doc[key] != nil {
+			json.Compact(&compact, doc[key])
+		}
+		return compact.String()
+	}
+
+	capture(t, func() int {
+		if err := mergeCells(path, map[string]any{"shards": []int{1, 2}}); err != nil {
+			t.Fatal(err)
+		}
+		return 0
+	})
+	if got := section("shards"); got != "[1,2]" {
+		t.Fatalf("shards section %q, want [1,2]", got)
+	}
+	if got := section("compress"); got != compress {
+		t.Fatalf("compress section %q after landing shards, want %q", got, compress)
+	}
+
+	if testing.Short() {
+		return
+	}
+	if _, code := capture(t, func() int { return run([]string{"-e", "bench", "-quick", "-parallel", "2", "-json", path}) }); code != 0 {
+		t.Fatalf("-e bench: exit %d", code)
+	}
+	if section("results") == "" || section("ingest") == "" {
+		t.Fatal("-e bench wrote no results or ingest section")
+	}
+	for key, want := range map[string]string{"compress": compress, "shards": "[1,2]"} {
+		if got := section(key); got != want {
+			t.Errorf("%s section %q after -e bench, want %q", key, got, want)
+		}
 	}
 }

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -238,29 +237,4 @@ func steadyReplayAllocs(tr *fj.Trace, sink fj.Sink) uint64 {
 	}
 	runtime.ReadMemStats(&ms1)
 	return (ms1.Mallocs - ms0.Mallocs) / steadyReplayRuns
-}
-
-// mergeShards lands freshly measured shard cells in jsonPath without
-// disturbing the rest of the document (creating a minimal document when
-// absent), following the serve/chaos pattern.
-func mergeShards(jsonPath string, cells []shardCell) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(jsonPath); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("bench: %s: %w", jsonPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	doc["shards"] = cells
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (shard cells)\n", jsonPath)
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/client"
 	"repro/internal/faults"
+	"repro/internal/leakcheck"
 	"repro/internal/server"
 )
 
@@ -20,6 +21,8 @@ import (
 // re-routing plus the RetainAll replay rides out the loss of the
 // backend that held the session's state.
 func TestClusterChaosParity(t *testing.T) {
+	// One goroutine baseline and check for all the parallel subtests.
+	leakcheck.Check(t)
 	classes := []faults.Class{faults.Delay, faults.Corrupt, faults.Partial, faults.Drop, faults.Reset, faults.All}
 	for _, class := range classes {
 		class := class

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/fj"
+	"repro/internal/leakcheck"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -31,8 +32,12 @@ type backend struct {
 	hsrv   *http.Server
 }
 
+// startBackend, like startGateway, takes the test's goroutine baseline
+// the first time a test starts anything: once the test's gateways and
+// backends have closed, every goroutine started since must have exited.
 func startBackend(t *testing.T, cfg server.Config) *backend {
 	t.Helper()
+	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +63,7 @@ func startBackend(t *testing.T, cfg server.Config) *backend {
 // decorates the gateway's client-facing listener (fault injection).
 func startGateway(t *testing.T, backends []*backend, wrap func(net.Listener) net.Listener) (*cluster.Gateway, string) {
 	t.Helper()
+	leakcheck.Check(t)
 	bs := make([]cluster.Backend, len(backends))
 	for i, b := range backends {
 		bs[i] = cluster.Backend{Addr: b.addr, Health: b.health}

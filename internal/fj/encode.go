@@ -69,6 +69,10 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
+// unknownLenPresize bounds the events DecodeTraceInto presizes a
+// recording sink for when the reader cannot say how much input is left.
+const unknownLenPresize = 4096
+
 // DecodeTraceInto streams a trace written by Encode directly into sink
 // in batches of batchSize events (DefaultBatchSize when <= 0), using
 // sink's BatchSink path when implemented. Unlike DecodeTrace it never
@@ -98,10 +102,14 @@ func DecodeTraceInto(r io.Reader, sink Sink, batchSize int) (int, error) {
 		// Recording sink: presize so the whole decode is one allocation.
 		// Every record is at least two bytes, so a reader that knows how
 		// much input is left caps the presize: a lying header cannot
-		// allocate for more events than the input holds.
+		// allocate for more events than the input holds. Other readers
+		// presize at most unknownLenPresize events and let append grow
+		// past it.
 		want := count
 		if lr, ok := r.(interface{ Len() int }); ok {
 			want = min(want, uint64(lr.Len()+br.Buffered())/2)
+		} else {
+			want = min(want, unknownLenPresize)
 		}
 		if uint64(cap(tr.Events)-len(tr.Events)) < want {
 			grown := make([]Event, len(tr.Events), uint64(len(tr.Events))+want)

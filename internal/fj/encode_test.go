@@ -3,6 +3,7 @@ package fj
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -112,18 +113,28 @@ func TestDecodeRejectsHugeCount(t *testing.T) {
 // TestDecodeLyingCountAllocatesLittle: a header under the sanity cap
 // that declares far more events than the input holds must not presize
 // for them (FuzzDecodeTrace found 4 GiB presizes that got the fuzzing
-// process killed).
+// process killed), whether or not the reader reports how much input is
+// left.
 func TestDecodeLyingCountAllocatesLittle(t *testing.T) {
-	data := append(append([]byte(nil), TraceMagic[:]...), binary.AppendUvarint(nil, 1<<22)...)
-	data = append(data, byte(EvHalt), 0)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := DecodeTrace(bytes.NewReader(data)); err == nil {
-		t.Fatal("decoded a trace declaring 4M events in 2 bytes")
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
-		t.Fatalf("decoding a 12-byte trace allocated %d bytes", n)
+	for _, c := range []struct {
+		name  string
+		count uint64
+		r     func([]byte) io.Reader
+	}{
+		{"with Len", 1 << 22, func(b []byte) io.Reader { return bytes.NewReader(b) }},
+		{"without Len", 1 << 20, func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }},
+	} {
+		data := append(append([]byte(nil), TraceMagic[:]...), binary.AppendUvarint(nil, c.count)...)
+		data = append(data, byte(EvHalt), 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := DecodeTrace(c.r(data)); err == nil {
+			t.Fatalf("%s: decoded a trace declaring %d events in 2 bytes", c.name, c.count)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Fatalf("%s: decoding a %d-byte trace allocated %d bytes", c.name, len(data), n)
+		}
 	}
 }
 

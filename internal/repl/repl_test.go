@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -80,8 +81,13 @@ func restartFollower(t *testing.T, addr, dir, key string) (*ReplicaSet, func()) 
 	return rs, func() { ln.Close() }
 }
 
+// openPrimary opens a primary's log. Every test opens its primary
+// first, so this also takes the test's goroutine baseline: once the
+// test's sources, followers and logs have closed, every goroutine
+// started since must have exited.
 func openPrimary(t *testing.T, dir string) *store.Log {
 	t.Helper()
+	leakcheck.Check(t)
 	lg, err := store.OpenLog(store.LogConfig{Dir: dir, NoSync: true, AnchorEvery: 4, SegmentBytes: 4 << 10})
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)

@@ -499,6 +499,12 @@ func TestMidStreamProtocolErrors(t *testing.T) {
 	events := []fj.Event{{Kind: fj.EvBegin, T: 0}, {Kind: fj.EvWrite, T: 0, Loc: 1}}
 	plain := append([]byte{1, byte(len(events))}, fj.AppendEvents(nil, events)...)
 	var enc wire.BlockEncoder
+	w := fj.Event{Kind: fj.EvWrite, T: 0, Loc: 1}
+	fourWrites := []fj.Event{w, w, w, w}
+	retired, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "pipeline.block"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name    string
@@ -508,9 +514,12 @@ func TestMidStreamProtocolErrors(t *testing.T) {
 	}{
 		{"retired-plain-events", wire.FrameType(3), plain, "unexpected FrameType(3) frame mid-stream"},
 		{"sequence-gap", wire.FrameEventsBlock, enc.AppendBlock(nil, 2, events), "sequence gap"},
-		// Four 3-byte writes (delta scheme) declared as 100 raw bytes.
-		{"raw-length-lie", wire.FrameEventsBlock, []byte{1, 4, 100, 1,
-			0, byte(fj.EvWrite), 2, 4, 0, byte(fj.EvWrite), 0, 0, 2, 1}, "wire: block:"},
+		// Four 3-byte writes (raw scheme) declared as 100 raw bytes.
+		{"raw-length-lie", wire.FrameEventsBlock, fj.AppendEvents([]byte{1, 4, 100, 0}, fourWrites),
+			"wire: block: raw body is 12 bytes, declared 100"},
+		// A block from a client that still sends the retired flate
+		// schemes (scheme 3 here): raced refuses it.
+		{"retired-scheme-3", wire.FrameEventsBlock, retired, "wire: block: unknown scheme 3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -9,14 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/client"
 	"repro/internal/fj"
+	"repro/internal/leakcheck"
 	"repro/internal/prog"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -31,15 +30,9 @@ import (
 // the servers' and their clients' — must have exited.
 func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	t.Helper()
-	if _, seen := leakChecked.LoadOrStore(t, true); !seen {
-		// Registered before the server's own Close, so it runs after it
-		// (and after the Close of every later server in this test).
-		base := runtime.NumGoroutine()
-		t.Cleanup(func() {
-			leakChecked.Delete(t)
-			requireGoroutinesAtMost(t, base)
-		})
-	}
+	// Registered before the server's own Close, so it runs after it (and
+	// after the Close of every later server in this test).
+	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -48,27 +41,6 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return srv, ln.Addr().String()
-}
-
-// leakChecked holds the tests whose goroutine baseline startServer has
-// already taken.
-var leakChecked sync.Map
-
-// requireGoroutinesAtMost polls until no more than n goroutines are
-// live, and fails with every goroutine's stack if that takes longer
-// than a few seconds.
-func requireGoroutinesAtMost(t *testing.T, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > n {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Errorf("goroutine leak: %d live after Close, %d before the server started\n%s",
-				runtime.NumGoroutine(), n, buf[:runtime.Stack(buf, true)])
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // renderJSON renders a report exactly the way cmd/race2d -json does:

@@ -1,12 +1,9 @@
 package wire
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/fj"
 )
@@ -18,7 +15,7 @@ import (
 //	uvarint  seq      batch sequence number (>= 1)
 //	uvarint  count    number of events in the block
 //	uvarint  rawLen   size of the batch in the raw record form (fj.AppendEvents)
-//	1 byte   scheme   0 raw, 4 huffman; 1, 2 and 3 are decoded, never sent
+//	1 byte   scheme   0 raw, 4 huffman; any other scheme is refused
 //	N bytes  body     scheme-dependent
 //
 // Scheme 4 is the trace-aware path. Each event is reduced to a tuple
@@ -63,26 +60,15 @@ import (
 // restarted server decodes identically, preserving the resume
 // guarantee.
 //
-// Earlier senders also emitted scheme 1 (the delta+copy tokens as a
-// byte stream: tag 0 then a kind byte and zigzag varints for a literal
-// with a single address cursor, tag n >= 1 then a uvarint lag for a
-// copy), scheme 3 (DEFLATE over that byte stream, its inflated length
-// framed first) and scheme 2 (DEFLATE over the raw form). The decoder
-// still accepts all three, so an upgraded server serves older clients.
-//
 // The decoder trusts neither count nor rawLen: every record is at least
-// two bytes, so count may not exceed rawLen/2, a scheme 3 stream may
-// not declare more than maxTokenBytes per event, and every scheme must
+// two bytes, so count may not exceed rawLen/2, and both schemes must
 // decode to events whose record form is exactly rawLen bytes. A block
 // cannot claim more events, or more saved bandwidth, than it carries.
 
 // Block schemes.
 const (
-	blockRaw        = 0
-	blockDelta      = 1
-	blockFlate      = 2
-	blockDeltaFlate = 3
-	blockHuffman    = 4
+	blockRaw     = 0
+	blockHuffman = 4
 )
 
 // maxCopyLag bounds how far back a copy token may reach, which in turn
@@ -90,11 +76,6 @@ const (
 const maxCopyLag = 255
 
 const ringSize = 256 // power of two > maxCopyLag
-
-// maxTokenBytes is the longest token of a scheme 1 stream: a literal is
-// tag 0, the kind byte and two varints of at most 10 bytes each. A copy
-// token (two uvarints, the lag at most 2 bytes) is shorter.
-const maxTokenBytes = 1 + 1 + 2*binary.MaxVarintLen64
 
 // maxBlockTask bounds decoded task ids, rejecting hostile blocks whose
 // deltas walk outside any plausible id space (ids are dense from 0).
@@ -417,11 +398,6 @@ func hashTuple(t tuple) uint32 {
 type BlockDecoder struct {
 	ring   [ringSize]tuple
 	tables [numAlphabets]huffTable
-
-	// Inflate state of the legacy flate schemes 2 and 3.
-	raw  []byte
-	fr   io.ReadCloser
-	frsr *bytes.Reader
 }
 
 // DecodeBlockInto parses a FrameEventsBlock payload, appending the
@@ -471,31 +447,6 @@ func (d *BlockDecoder) DecodeBlockInto(dst []fj.Event, payload []byte) (seq uint
 		dst, err = decodeRawBody(dst, body, int(count))
 	case blockHuffman:
 		dst, err = d.decodeHuffman(dst, body, int(count), int(rl))
-	case blockFlate:
-		var raw []byte
-		raw, err = d.inflate(body, int(rl))
-		if err == nil {
-			dst, err = decodeRawBody(dst, raw, int(count))
-		}
-	case blockDelta:
-		dst, err = d.decodeDelta(dst, body, int(count), int(rl))
-	case blockDeltaFlate:
-		dl, k := binary.Uvarint(body)
-		if k <= 0 {
-			return 0, dst, 0, fmt.Errorf("wire: block: delta length: %w", ErrTruncated)
-		}
-		// No token is longer than a literal, and every token carries
-		// at least one event, so a declared length past
-		// maxTokenBytes*count is hostile. The bound caps the inflate
-		// buffer before a single byte is inflated.
-		if dl > maxTokenBytes*count || dl > MaxFrameSize {
-			return 0, dst, 0, fmt.Errorf("wire: block: implausible delta length %d (%d events)", dl, count)
-		}
-		var stream []byte
-		stream, err = d.inflate(body[k:], int(dl))
-		if err == nil {
-			dst, err = d.decodeDelta(dst, stream, int(count), int(rl))
-		}
 	default:
 		err = fmt.Errorf("wire: block: unknown scheme %d", scheme)
 	}
@@ -656,88 +607,6 @@ func (d *BlockDecoder) decodeHuffman(dst []fj.Event, body []byte, count, rawLen 
 	}
 	if err := r.end(); err != nil {
 		return dst, fmt.Errorf("wire: block: %w", err)
-	}
-	if s.size != rawLen {
-		return dst, fmt.Errorf("wire: block: record form is %d bytes, declared %d", s.size, rawLen)
-	}
-	return dst, nil
-}
-
-// inflate decompresses a flate body into the decoder's scratch buffer,
-// requiring exactly rawLen bytes out.
-func (d *BlockDecoder) inflate(body []byte, rawLen int) ([]byte, error) {
-	if d.fr == nil {
-		d.frsr = bytes.NewReader(body)
-		d.fr = flate.NewReader(d.frsr)
-	} else {
-		d.frsr.Reset(body)
-		if err := d.fr.(flate.Resetter).Reset(d.frsr, nil); err != nil {
-			return nil, fmt.Errorf("wire: block: flate reset: %v", err)
-		}
-	}
-	if cap(d.raw) < rawLen+1 {
-		d.raw = make([]byte, rawLen+1)
-	}
-	buf := d.raw[:rawLen+1]
-	n, err := io.ReadFull(d.fr, buf)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("wire: block: flate: %v", err)
-	}
-	if n != rawLen {
-		return nil, fmt.Errorf("wire: block: flate body inflated to %d bytes, declared %d", n, rawLen)
-	}
-	return buf[:rawLen], nil
-}
-
-// decodeDelta replays a scheme 1 token stream (one address cursor).
-// The events' record-form size must come to exactly rawLen.
-func (d *BlockDecoder) decodeDelta(dst []fj.Event, body []byte, count, rawLen int) ([]fj.Event, error) {
-	s := replay{rawLen: rawLen}
-	for s.decoded < count {
-		tag, k := binary.Uvarint(body)
-		if k <= 0 {
-			return dst, s.errorf("token: %w", ErrTruncated)
-		}
-		body = body[k:]
-		if tag == 0 {
-			if len(body) == 0 {
-				return dst, s.errorf("literal: %w", ErrTruncated)
-			}
-			t := tuple{kind: fj.EventKind(body[0])}
-			body = body[1:]
-			dT, k := binary.Varint(body)
-			if k <= 0 {
-				return dst, s.errorf("literal delta: %w", ErrTruncated)
-			}
-			body = body[k:]
-			t.dT = dT
-			switch t.kind {
-			case fj.EvFork, fj.EvJoin, fj.EvRead, fj.EvWrite:
-				dX, k := binary.Varint(body)
-				if k <= 0 {
-					return dst, s.errorf("literal delta: %w", ErrTruncated)
-				}
-				body = body[k:]
-				t.dX = uint64(dX)
-			}
-			var err error
-			if dst, err = d.apply(&s, dst, t); err != nil {
-				return dst, err
-			}
-			continue
-		}
-		lag, k := binary.Uvarint(body)
-		if k <= 0 {
-			return dst, s.errorf("copy lag: %w", ErrTruncated)
-		}
-		body = body[k:]
-		var err error
-		if dst, err = d.copyRun(&s, dst, tag, lag, count); err != nil {
-			return dst, err
-		}
-	}
-	if len(body) != 0 {
-		return dst, fmt.Errorf("wire: block: %d trailing bytes after %d events", len(body), count)
 	}
 	if s.size != rawLen {
 		return dst, fmt.Errorf("wire: block: record form is %d bytes, declared %d", s.size, rawLen)

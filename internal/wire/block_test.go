@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -155,8 +154,9 @@ func TestBlockSelfContained(t *testing.T) {
 }
 
 // TestBlockDecoderRejectsHostileInput covers the corruption vocabulary
-// the decoder must refuse: truncations, bad schemes, lying headers, and
-// copy tokens reaching outside the window.
+// the decoder must refuse: truncations, bad schemes, lying headers and
+// non-canonical raw records. Copy tokens reaching outside the window
+// are scheme 4 refusals (TestBlockHuffmanRefusals).
 func TestBlockDecoderRejectsHostileInput(t *testing.T) {
 	var enc BlockEncoder
 	good := enc.AppendBlock(nil, 5, sampleEvents())
@@ -168,12 +168,8 @@ func TestBlockDecoderRejectsHostileInput(t *testing.T) {
 		"bad scheme":    {5, 1, 4, 99, 1, 2, 3, 4},
 		// scheme raw with a body shorter than the declared raw length
 		"raw length lie": {5, 2, 10, blockRaw, 0, 0},
-		// scheme delta, copy token before any literal exists
-		"copy from nothing": {5, 2, 4, blockDelta, 2, 1},
-		// scheme delta, literal then a copy with lag 0
-		"zero lag": {5, 2, 4, blockDelta, 0, byte(fj.EvHalt), 0, 1, 0},
-		// scheme flate with garbage body
-		"flate garbage": {5, 2, 4, blockFlate, 0xde, 0xad, 0xbe, 0xef},
+		// scheme huffman with a garbage body
+		"huffman garbage": {5, 2, 4, blockHuffman, 0xde, 0xad, 0xbe, 0xef},
 		// a valid block with a byte past its body
 		"trailing byte": append(append([]byte(nil), good...), 0),
 		// scheme raw, one read of location 0 with its task id spelled in
@@ -196,8 +192,8 @@ func TestBlockDecoderRejectsHostileInput(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	// Truncation mid-payload must be classifiable; a cut inside a delta
-	// token stream reports ErrTruncated.
+	// Truncation mid-payload must be classifiable; a cut inside a scheme
+	// 4 body reports ErrTruncated.
 	repetitive := make([]fj.Event, 256)
 	for i := range repetitive {
 		repetitive[i] = fj.Event{Kind: fj.EvWrite, T: 1, Loc: 0x40}
@@ -209,50 +205,74 @@ func TestBlockDecoderRejectsHostileInput(t *testing.T) {
 	}
 }
 
-// hostileBlock is 16 bytes that claim 4,194,304 events in a raw length
-// of 1: one literal write by task 0 to location 0 (3 bytes in record
-// form), then one copy run repeating it 4,194,303 times. Decoded, it
-// would be a 146 MiB slab whose record form is 12,582,912 bytes.
-var hostileBlock = []byte{
-	1,                      // seq
-	0x80, 0x80, 0x80, 0x02, // count 1<<22
-	1,                         // raw length
-	blockDelta,                // scheme
-	0, byte(fj.EvWrite), 0, 0, // literal: dT 0, dX 0
-	0xff, 0xff, 0xff, 0x01, // copy run of 1<<22 - 1
-	1, // lag
+// hostileBlock is 42 bytes that claim 4,194,304 events in a raw length
+// of 1: a scheme 4 body holding one literal write by task 0 to location 0 (3 bytes in
+// record form), then two copy runs repeating it 4,194,303 times.
+// Decoded, it would be a 146 MiB slab whose record form is 12,582,912
+// bytes.
+var hostileBlock = func() []byte {
+	const count, run = 1 << 22, maxCopyRun
+	b := huffBlock(count, 1, func(w *bitWriter) {
+		cs := testCodes(w, []int{opWrite, opCopy + symOf(run-2), opCopy + symOf(count-1-run-2)},
+			[]int{0}, []int{0}, nil, []int{0})
+		cs[alphOp].put(w, opWrite)
+		putTestValue(w, cs[alphT], 0)
+		putTestValue(w, cs[alphA], 0)
+		putCopy(w, cs, run, 1)
+		putCopy(w, cs, count-1-run, 1)
+	})
+	b[0] = 1 // seq
+	return b
+}()
+
+// fourWrites are four writes by task 1 to location 2: 12 bytes in
+// record form.
+var fourWrites = []fj.Event{
+	{Kind: fj.EvWrite, T: 1, Loc: 2},
+	{Kind: fj.EvWrite, T: 1, Loc: 2},
+	{Kind: fj.EvWrite, T: 1, Loc: 2},
+	{Kind: fj.EvWrite, T: 1, Loc: 2},
+}
+
+// fourWritesHuffman is fourWrites as a scheme 4 block declaring a raw
+// length of rawLen: literal (dT 1, dA 2), literal (dT 0, dA 0), then a
+// copy of 2 at lag 1.
+func fourWritesHuffman(rawLen int) []byte {
+	return huffBlock(len(fourWrites), rawLen, func(w *bitWriter) {
+		cs := testCodes(w, []int{opWrite, opWrite, opCopy}, []int{0},
+			[]int{symOf(zigzag(1)), 0}, nil, []int{symOf(zigzag(2)), 0})
+		for _, d := range [][2]int64{{1, 2}, {0, 0}} {
+			cs[alphOp].put(w, opWrite)
+			putTestValue(w, cs[alphT], zigzag(d[0]))
+			putTestValue(w, cs[alphA], zigzag(d[1]))
+		}
+		putCopy(w, cs, 2, 1)
+	})
 }
 
 // TestBlockDecoderChecksDeclaredSizes pins that a block cannot lie
 // about its size: the event count must fit the declared raw length,
-// and the delta schemes must decode to exactly that many record-form
-// bytes, so the server's raw-byte accounting (and the compression
-// ratio it reports) counts what the client actually sent.
+// and both schemes must decode to exactly that many record-form bytes,
+// so the server's raw-byte accounting (and the compression ratio it
+// reports) counts what the client actually sent.
 func TestBlockDecoderChecksDeclaredSizes(t *testing.T) {
-	if len(hostileBlock) != 16 {
-		t.Fatalf("hostile block is %d bytes, want 16", len(hostileBlock))
+	if s := blockScheme(t, hostileBlock); s != blockHuffman {
+		t.Fatalf("hostile block has scheme %d, want %d", s, blockHuffman)
+	}
+	if len(hostileBlock) != 42 {
+		t.Fatalf("hostile block is %d bytes, want 42", len(hostileBlock))
 	}
 	var dec BlockDecoder
-	if _, out, _, err := dec.DecodeBlockInto(nil, hostileBlock); err == nil {
-		t.Fatalf("decoder accepted %d events declared in a raw length of 1", len(out))
+	if _, out, _, err := dec.DecodeBlockInto(nil, hostileBlock); err == nil || !strings.Contains(err.Error(), "cannot fit a raw length of 1") {
+		t.Fatalf("hostile block: %d events, %v; want the count bound to refuse it", len(out), err)
 	}
 
-	// Four writes (12 record-form bytes) declared as 100: the count fits,
-	// the size does not, on both the delta and the delta+flate schemes.
-	events := []fj.Event{
-		{Kind: fj.EvWrite, T: 1, Loc: 2},
-		{Kind: fj.EvWrite, T: 1, Loc: 2},
-		{Kind: fj.EvWrite, T: 1, Loc: 2},
-		{Kind: fj.EvWrite, T: 1, Loc: 2},
-	}
-	// Literal (dT 1, dX 2), literal (dT 0, dX 0), then a copy of 2 at
-	// lag 1; deltas are zigzag varints.
-	stream := []byte{0, byte(fj.EvWrite), 2, 4, 0, byte(fj.EvWrite), 0, 0, 2, 1}
-	for _, rawLen := range []byte{12, 100} {
-		delta := append([]byte{7, 4, rawLen, blockDelta}, stream...)
-		flated := append([]byte{7, 4, rawLen, blockDeltaFlate, byte(len(stream))},
-			deflateBytes(stream)...)
-		for name, payload := range map[string][]byte{"delta": delta, "delta+flate": flated} {
+	// fourWrites declared as 12 and as 100 bytes: the count fits both,
+	// the size only the first, on both the raw and the huffman scheme.
+	for _, rawLen := range []int{12, 100} {
+		raw := binary.AppendUvarint([]byte{7, 4}, uint64(rawLen))
+		raw = fj.AppendEvents(append(raw, blockRaw), fourWrites)
+		for name, payload := range map[string][]byte{"raw": raw, "huffman": fourWritesHuffman(rawLen)} {
 			var dec BlockDecoder
 			_, out, got, err := dec.DecodeBlockInto(nil, payload)
 			if rawLen != 12 {
@@ -261,12 +281,12 @@ func TestBlockDecoderChecksDeclaredSizes(t *testing.T) {
 				}
 				continue
 			}
-			if err != nil || got != 12 || len(out) != len(events) {
+			if err != nil || got != 12 || len(out) != len(fourWrites) {
 				t.Fatalf("%s: honest block: %d events, raw %d, %v", name, len(out), got, err)
 			}
-			for i := range events {
-				if out[i] != events[i] {
-					t.Fatalf("%s: event %d: %v, want %v", name, i, out[i], events[i])
+			for i := range fourWrites {
+				if out[i] != fourWrites[i] {
+					t.Fatalf("%s: event %d: %v, want %v", name, i, out[i], fourWrites[i])
 				}
 			}
 		}
@@ -403,80 +423,6 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	}
 }
 
-// literalStream is the delta token stream of literalEvents written as
-// four literals, no copy token: task 1 writes locations 2, 3, 4 and 5.
-// Each literal is 4 bytes against a 3-byte record, so the 16-byte
-// stream is longer than the 12-byte record form.
-var literalStream = []byte{
-	0, byte(fj.EvWrite), 2, 4, // dT 1, dX 2 (zigzag)
-	0, byte(fj.EvWrite), 0, 2, // dT 0, dX 1
-	0, byte(fj.EvWrite), 0, 2,
-	0, byte(fj.EvWrite), 0, 2,
-}
-
-var literalEvents = []fj.Event{
-	{Kind: fj.EvWrite, T: 1, Loc: 2},
-	{Kind: fj.EvWrite, T: 1, Loc: 3},
-	{Kind: fj.EvWrite, T: 1, Loc: 4},
-	{Kind: fj.EvWrite, T: 1, Loc: 5},
-}
-
-// deltaFlateBlock frames literalStream as a scheme 3 block declaring
-// an inflated delta length of dl.
-func deltaFlateBlock(dl uint64) []byte {
-	b := []byte{7, byte(len(literalEvents)), byte(fj.EventsSize(literalEvents)), blockDeltaFlate}
-	b = binary.AppendUvarint(b, dl)
-	return append(b, deflateBytes(literalStream)...)
-}
-
-// deflateBytes compresses raw as the flate schemes' senders did. The
-// errors are dropped: BestSpeed is a valid level, and writes to a
-// bytes.Buffer cannot fail.
-func deflateBytes(raw []byte) []byte {
-	var buf bytes.Buffer
-	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
-	fw.Write(raw)
-	fw.Close()
-	return buf.Bytes()
-}
-
-// TestBlockDecodesDeltaFlateLongerThanRaw: flate runs over the delta
-// stream even where that stream is longer than the record form, so the
-// decoder must accept a scheme 3 block whose inflated stream exceeds
-// rawLen.
-func TestBlockDecodesDeltaFlateLongerThanRaw(t *testing.T) {
-	if len(literalStream) <= fj.EventsSize(literalEvents) {
-		t.Fatalf("stream %d bytes, record form %d: the stream must be the longer", len(literalStream), fj.EventsSize(literalEvents))
-	}
-	var dec BlockDecoder
-	seq, out, rawLen, err := dec.DecodeBlockInto(nil, deltaFlateBlock(uint64(len(literalStream))))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if seq != 7 || rawLen != fj.EventsSize(literalEvents) || len(out) != len(literalEvents) {
-		t.Fatalf("seq %d, raw %d, %d events", seq, rawLen, len(out))
-	}
-	for i := range literalEvents {
-		if out[i] != literalEvents[i] {
-			t.Fatalf("event %d: %v, want %v", i, out[i], literalEvents[i])
-		}
-	}
-}
-
-// TestBlockDecoderBoundsDeltaLength: no token is longer than
-// maxTokenBytes, so a scheme 3 block declaring a longer delta stream
-// than its events could need is refused before inflating.
-func TestBlockDecoderBoundsDeltaLength(t *testing.T) {
-	if maxTokenBytes != 22 {
-		t.Fatalf("maxTokenBytes = %d, want 22", maxTokenBytes)
-	}
-	var dec BlockDecoder
-	_, _, _, err := dec.DecodeBlockInto(nil, deltaFlateBlock(maxTokenBytes*uint64(len(literalEvents))+1))
-	if err == nil || !strings.Contains(err.Error(), "implausible delta length") {
-		t.Fatalf("got %v, want an implausible delta length error", err)
-	}
-}
-
 // forkJoinEvents records random fork-join programs back to back and
 // returns the first n events. Every session events start a fresh run,
 // whose task ids restart at 0, as in one streamed session.
@@ -521,8 +467,8 @@ func blockSplit(tb testing.TB, payload []byte) (byte, []byte) {
 
 // TestBlockRandomAddressShipsHuffman: a random-address fork-join block
 // has little for the copy layer to find, yet its field-split Huffman
-// body must still beat the record form, and beat the 1.834 B/event the
-// flate-over-deltas scheme shipped on this class.
+// body must still beat the record form, and beat 1.834 B/event (what
+// DEFLATE over the single-cursor delta tokens reached on this class).
 func TestBlockRandomAddressShipsHuffman(t *testing.T) {
 	events := forkJoinEvents(t, 1, 4096, 4096, workload.Mix{Locs: 128, ReadFrac: 0.8, Block: 2})
 	var enc BlockEncoder

@@ -115,13 +115,20 @@ func FuzzDecodeBlock(f *testing.F) {
 	}
 	f.Add(enc.AppendBlock(nil, 3, repetitive))
 	f.Add([]byte{})
-	f.Add([]byte{1, 1, 1, blockDelta, 2, 200})
-	f.Add([]byte{1, 1, 1, blockFlate, 0xff})
+	// Blocks of the retired schemes 1 (delta tokens) and 2 (flate over
+	// the raw form), refused as unknown.
+	f.Add([]byte{1, 1, 1, 1, 2, 200})
+	f.Add([]byte{1, 1, 1, 2, 0xff})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Add(hostileBlock)
-	f.Add(deltaFlateBlock(uint64(len(literalStream))))
-	f.Add(deltaFlateBlock(maxTokenBytes*uint64(len(literalEvents)) + 1))
+	// Four literal writes as the retired scheme 3 (a stored flate block
+	// over the delta tokens), declaring their true 16-byte token length
+	// and an implausible 89.
+	for _, dl := range []byte{16, 89} {
+		f.Add([]byte{7, 4, 12, 3, dl, 0x00, 0x10, 0x00, 0xef, 0xff,
+			0, 5, 2, 4, 0, 5, 0, 2, 0, 5, 0, 2, 0, 5, 0, 2, 0x01, 0x00, 0x00, 0xff, 0xff})
+	}
 	// One seed per scheme 4 refusal.
 	for _, c := range huffRefusals() {
 		f.Add(c.block)

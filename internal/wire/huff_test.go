@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -237,36 +238,47 @@ func TestBlockPipelineRepeatsExactly(t *testing.T) {
 	}
 }
 
-// TestBlockLegacyGolden decodes blocks a scheme 0-3 encoder wrote
-// (testdata/*.block, with their events' record form in *.events): the
-// encoder no longer emits schemes 1 and 3, but older clients do.
-func TestBlockLegacyGolden(t *testing.T) {
-	for name, scheme := range map[string]byte{
-		"pipeline":       blockDeltaFlate,
-		"fork-join":      blockDeltaFlate,
-		"random-address": blockDeltaFlate,
-		"far-task":       blockRaw,
-		"repetitive":     blockDelta,
+// TestBlockRetiredSchemesRefused: blocks an older encoder wrote in
+// schemes 1 and 3 (testdata/*.block) and a scheme 2 block are refused
+// as unknown, while that encoder's raw (scheme 0) block still decodes
+// to its events' record form (far-task.events).
+func TestBlockRetiredSchemesRefused(t *testing.T) {
+	golden := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for name, block := range map[string][]byte{
+		"pipeline":       golden("pipeline.block"),
+		"fork-join":      golden("fork-join.block"),
+		"random-address": golden("random-address.block"),
+		"repetitive":     golden("repetitive.block"),
+		"flate garbage":  {5, 2, 4, 2, 0xde, 0xad, 0xbe, 0xef},
 	} {
-		block, err := os.ReadFile(filepath.Join("testdata", name+".block"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join("testdata", name+".events"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := blockScheme(t, block); s != scheme {
-			t.Fatalf("%s: golden block has scheme %d, want %d", name, s, scheme)
+		scheme := blockScheme(t, block)
+		if scheme < 1 || scheme > 3 {
+			t.Fatalf("%s: block has scheme %d, want a retired one", name, scheme)
 		}
 		var dec BlockDecoder
-		_, got, rawLen, err := dec.DecodeBlockInto(nil, block)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		_, out, _, err := dec.DecodeBlockInto(nil, block)
+		if want := fmt.Sprintf("unknown scheme %d", scheme); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %d events, %v; want %q", name, len(out), err, want)
 		}
-		if rawLen != len(want) || !bytes.Equal(fj.AppendEvents(nil, got), want) {
-			t.Fatalf("%s: %d events (raw %d) differ from the golden record form (%d bytes)", name, len(got), rawLen, len(want))
-		}
+	}
+
+	block, want := golden("far-task.block"), golden("far-task.events")
+	if s := blockScheme(t, block); s != blockRaw {
+		t.Fatalf("far-task: golden block has scheme %d, want %d", s, blockRaw)
+	}
+	var dec BlockDecoder
+	_, got, rawLen, err := dec.DecodeBlockInto(nil, block)
+	if err != nil {
+		t.Fatalf("far-task: %v", err)
+	}
+	if rawLen != len(want) || !bytes.Equal(fj.AppendEvents(nil, got), want) {
+		t.Fatalf("far-task: %d events (raw %d) differ from the golden record form (%d bytes)", len(got), rawLen, len(want))
 	}
 }
 
