@@ -146,12 +146,14 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzBlockEncode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzResume -fuzztime=30s ./internal/wire
+	$(GO) test -fuzz=FuzzReplFrames -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/store
+	$(GO) test -fuzz=FuzzLocTable -fuzztime=30s ./internal/core
 
 # Mirrors the CI fuzz-smoke job: seed corpora, then a short fuzz budget
 # per target.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/prog ./internal/fj ./internal/wire ./internal/store
+	$(GO) test -run 'Fuzz' ./internal/prog ./internal/fj ./internal/wire ./internal/store ./internal/core
 	$(MAKE) fuzz
 
 # Diff the exported API of the root package and the client package

@@ -64,11 +64,9 @@ import (
 )
 
 // DefaultFrameEvents is how many events a Session packs per wire frame
-// before flushing, unless WithFrameEvents says otherwise. Every block
-// sends its own Huffman code headers and restarts the copy layer's
-// window; 4096-event blocks amortise both (internal/wire
-// BenchmarkBlockCodec, EXPERIMENTS E17b and E17c).
-const DefaultFrameEvents = 4096
+// before flushing, unless WithFrameEvents says otherwise: the wire's
+// default block size, which raced sizes its decode slabs to.
+const DefaultFrameEvents = wire.DefaultBlockEvents
 
 // DefaultWindowBatches bounds the replay window (unacknowledged batches
 // held for resend) unless WithReplayWindow says otherwise: 8 default

@@ -67,8 +67,8 @@ type Storage uint8
 
 const (
 	// StorageOpenAddr is the default: a value-typed open-addressing
-	// table (table.go) — allocation-free accesses, one linear probe per
-	// operation.
+	// table (table.go) — allocation-free accesses, linear probing from
+	// a cache-line home slot.
 	StorageOpenAddr Storage = iota
 	// StorageMap is the reference map[Addr]*locState backend.
 	StorageMap

@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // Open-addressing storage for per-location detector state.
 //
 // The reference map storage (`map[Addr]*locState`) costs one heap
@@ -7,11 +9,28 @@ package core
 // chase on every access; the constant factors drown the Θ(1)-per-location
 // asymptotics of Theorem 5 in measurements. This table stores the two
 // identifiers *by value* in a flat slab of locEntry records probed
-// linearly from a multiplicative hash — no per-location allocation, no
+// linearly from a home slot — no per-location allocation, no
 // indirection, one predictable probe sequence per access. It is the
 // detector's default storage; the map and the paged shadow table remain
 // available behind the Storage option for differential testing and for
 // workloads with different locality profiles.
+//
+// The home slot is chosen per 64-byte cache line, not per entry. Four
+// 16-byte entries fill a line (slabs are power-of-two allocations of at
+// least 1 KiB, which Go's allocator aligns to at least 1 KiB, so a line
+// of the slab is a cache line), and the four consecutive addresses
+// a&^3 … a|3 share one: the line is the high bits of a Fibonacci
+// product of a>>2, the offset within it a small xor-fold of a's low
+// bits (see home). Every frontend in this repository numbers locations
+// densely, and locations used together (a pipeline cell's payload)
+// tend to be neighbours, so one access usually pulls in the line the
+// next one needs. Fibonacci hashing spreads consecutive groups evenly
+// over the lines, which keeps one dense range from clustering; groups
+// from several ranges can still collide. Probe counts are therefore
+// workload-dependent, and a lookup that misses during a rehash also
+// probes the old slab: the benchmark's traces take 1.1 slots per memory
+// operation on fork-join and 1.9 to 6.9 on the pipeline, depending on
+// its width (EXPERIMENTS E11b).
 //
 // Growth is incremental: when the load factor passes 3/4 the table
 // allocates a doubled slab and migrates a bounded number of old entries
@@ -25,6 +44,13 @@ const (
 	// tableMigrateStep bounds the old-slab slots scanned per access
 	// during an incremental rehash.
 	tableMigrateStep = 64
+	// tableLineEntries is the number of locEntry records per 64-byte
+	// cache line, and tableLineBits its log2.
+	tableLineEntries = 4
+	tableLineBits    = 2
+	// tableFib is 2^64 divided by the golden ratio, the Fibonacci
+	// hashing multiplier.
+	tableFib = 0x9E3779B97F4A7C15
 )
 
 // locEntry is one slab slot: the location address plus its R/W suprema,
@@ -40,12 +66,14 @@ type locEntry struct {
 type locTable struct {
 	entries []locEntry
 	mask    uint64
-	count   int // distinct locations, including the side slots
+	shift   uint // 64 - log2(lines in entries); see home
+	count   int  // distinct locations, including the side slots
 
 	// Incremental rehash: old holds the previous slab until every live
 	// entry has been migrated; lookups consult it on a miss in entries.
 	old      []locEntry
 	oldMask  uint64
+	oldShift uint
 	migrated int // next old slot to examine
 
 	// Side slots for the two addresses that cannot live in the slab:
@@ -74,14 +102,33 @@ func newLocTable(locHint int) *locTable {
 	return &locTable{
 		entries: make([]locEntry, size),
 		mask:    uint64(size - 1),
+		shift:   lineShift(size),
 	}
 }
 
-// tableHash mixes the address into a slab index distribution
-// (Fibonacci multiplicative hash, folded so the masked low bits carry
-// the high-entropy product bits).
+// lineShift returns the shift that maps a 64-bit Fibonacci product to
+// a line index of a slab with size entries (a power of two).
+func lineShift(size int) uint {
+	return 64 - uint(bits.TrailingZeros(uint(size))-tableLineBits)
+}
+
+// home returns a's first probe slot in a slab whose line shift is
+// shift. The line is the high bits of the Fibonacci product of a>>2,
+// so a&^3 … a|3 land in one line and consecutive groups spread evenly
+// over the slab. The offset xor-folds bits 0–5 of a: within a group it
+// permutes a&3 over the four slots, and word-strided addresses (8 or
+// 16 bytes apart, a&3 constant) still reach all four offsets.
+func home(a Addr, shift uint) uint64 {
+	line := (uint64(a>>tableLineBits) * tableFib) >> shift
+	return line<<tableLineBits | uint64(a^a>>2^a>>4)&(tableLineEntries-1)
+}
+
+// tableHash mixes the address into a well-spread 64-bit value
+// (Fibonacci multiplicative hash, folded so the low bits carry the
+// high-entropy product bits). The sharded detector routes locations to
+// shards with it; the table itself places entries with home.
 func tableHash(a Addr) uint64 {
-	h := uint64(a) * 0x9E3779B97F4A7C15
+	h := uint64(a) * tableFib
 	return h ^ (h >> 32)
 }
 
@@ -114,7 +161,7 @@ func (t *locTable) get(a Addr) *locState {
 	if (t.count+1)*4 > len(t.entries)*3 {
 		t.grow()
 	}
-	i := tableHash(a) & t.mask
+	i := home(a, t.shift)
 	probed := uint64(0) // accumulated locally; one store on exit keeps the loop tight
 	for {
 		probed++
@@ -145,7 +192,7 @@ func (t *locTable) get(a Addr) *locState {
 
 // lookupOld probes the pre-rehash slab for a.
 func (t *locTable) lookupOld(a Addr) (locState, bool) {
-	i := tableHash(a) & t.oldMask
+	i := home(a, t.oldShift)
 	probed := uint64(0)
 	for {
 		probed++
@@ -171,9 +218,11 @@ func (t *locTable) grow() {
 	t.grows++
 	t.old = t.entries
 	t.oldMask = t.mask
+	t.oldShift = t.shift
 	t.migrated = 0
 	t.entries = make([]locEntry, 2*len(t.old))
 	t.mask = uint64(len(t.entries) - 1)
+	t.shift = lineShift(len(t.entries))
 }
 
 // migrate examines up to steps slots of the old slab, inserting live
@@ -196,7 +245,7 @@ func (t *locTable) migrate(steps int) {
 // insertIfAbsent places a migrated entry into the current slab unless a
 // fresher copy already moved (via lookupOld during a get).
 func (t *locTable) insertIfAbsent(src locEntry) {
-	i := tableHash(src.addr) & t.mask
+	i := home(src.addr, t.shift)
 	for {
 		e := &t.entries[i]
 		if e.addr == src.addr {

@@ -662,8 +662,10 @@ func (s *Server) admit(conn net.Conn, hello wire.Hello, tenant string) (*session
 		conn:     conn,
 		detached: make(chan struct{}),
 		nextSeq:  1,
-		queue:    fj.NewEventQueue(s.cfg.QueueCapacity, 0),
-		drained:  make(chan struct{}),
+		// Slabs hold a default block: DecodeBlockInto appends, so a
+		// smaller slab would regrow on every fresh session's first blocks.
+		queue:   fj.NewEventQueue(s.cfg.QueueCapacity, wire.DefaultBlockEvents),
+		drained: make(chan struct{}),
 	}
 	sess.lastActive.Store(time.Now().UnixNano())
 	s.sessions[sess.id] = sess

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -274,6 +275,41 @@ func TestShutdownDeliversPartialReport(t *testing.T) {
 	}
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestSessionSlabsFitBlocks pins the server's queue slabs to the wire's
+// block size. Blocks carry wire.DefaultBlockEvents events and decode by
+// append, so slabs sized for fj.DefaultBatchSize (256) regrew in ~1.25×
+// steps on every session's first blocks. With those slabs a 4000-event
+// session cost the process (client and server) 1,035,352 bytes; with
+// block-sized slabs, 663,976. The fewest bytes over five sessions
+// against a warmed-up server count.
+func TestSessionSlabsFitBlocks(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	run := func() {
+		sess, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		streamRacyPrefix(t, sess, 3999)
+		if _, err := sess.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm up the server and the client's lazily built state
+	best := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	const limit = 1035352 - 100<<10 // at least 100 KiB under regrowing slabs
+	if best > limit {
+		t.Fatalf("a 4000-event session allocated %d bytes, want <= %d", best, limit)
 	}
 }
 

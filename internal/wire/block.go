@@ -65,6 +65,15 @@ import (
 // decode to events whose record form is exactly rawLen bytes. A block
 // cannot claim more events, or more saved bandwidth, than it carries.
 
+// DefaultBlockEvents is how many events a sender packs per block unless
+// configured otherwise (client.DefaultFrameEvents). Each block carries
+// its own Huffman code headers and restarts the copy window, and
+// 4096-event blocks amortise both (BenchmarkBlockCodec, EXPERIMENTS
+// E17b and E17c). Receivers size their decode slabs to it, so a default
+// block decodes into one slab without regrowth; they never size a slab
+// from a block's declared count.
+const DefaultBlockEvents = 4096
+
 // Block schemes.
 const (
 	blockRaw     = 0
