@@ -231,10 +231,10 @@ func detectorBenchTrace(b *testing.B, name string) *fj.Trace {
 //   - batch/…: the same replay through the batched ingestion path
 //     (EventBuffer-sized runs into Detector.OnAccessBatch).
 //   - steady/…: replay into an already-warm detector, the
-//     steady-state regime of a long-running monitor; the open-addressing
+//     steady-state regime of a long-running monitor; the paged
 //     backend runs allocation-free here (0 allocs/op).
 func BenchmarkDetector(b *testing.B) {
-	storages := []core.Storage{core.StorageOpenAddr, core.StorageMap, core.StorageShadow}
+	storages := []core.Storage{core.StorageOpenAddr, core.StorageMap}
 	for _, wl := range []string{"pipeline", "spawntree"} {
 		tr := detectorBenchTrace(b, wl)
 		memops := 0

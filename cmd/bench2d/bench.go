@@ -61,7 +61,6 @@ func benchDetectors() []benchDetector {
 		{name: "2d", batched: true, fresh: storage(core.StorageOpenAddr)},
 		{name: "2d-unbatched", fresh: storage(core.StorageOpenAddr)},
 		{name: "2d-map", fresh: storage(core.StorageMap)},
-		{name: "2d-shadow", fresh: storage(core.StorageShadow)},
 		{name: "vc", batched: true, fresh: engine(race2d.EngineVC)},
 		{name: "fasttrack", batched: true, fresh: engine(race2d.EngineFastTrack)},
 		{name: "spbags", spOnly: true, batched: true, fresh: engine(race2d.EngineSPBags)},
@@ -135,7 +134,7 @@ type benchCell struct {
 
 	// Cold: one replay into a fresh detector (includes per-location
 	// first-touch work). Steady: a second replay into the same detector —
-	// the open-addressing hot path is allocation-free here.
+	// the paged store's hot path is allocation-free here.
 	BytesPerReplayCold    uint64 `json:"b_per_replay_cold"`
 	AllocsPerReplayCold   uint64 `json:"allocs_per_replay_cold"`
 	BytesPerReplaySteady  uint64 `json:"b_per_replay_steady"`

@@ -78,7 +78,7 @@ func ExampleDetect_options() {
 		t.Write(1)
 		t.Join(h)
 	},
-		race2d.WithStorage(race2d.StorageShadow),
+		race2d.WithStorage(race2d.StorageMap),
 		race2d.WithBatchSize(256),
 		race2d.WithStats(&stats),
 	)

@@ -66,15 +66,12 @@ const noAccess int32 = -1
 type Storage uint8
 
 const (
-	// StorageOpenAddr is the default: a value-typed open-addressing
-	// table (table.go) — allocation-free accesses, linear probing from
-	// a cache-line home slot.
+	// StorageOpenAddr is the default: the paged store (table.go) —
+	// 64-location pages found through an open-addressing directory,
+	// allocation-free once a location's page exists.
 	StorageOpenAddr Storage = iota
 	// StorageMap is the reference map[Addr]*locState backend.
 	StorageMap
-	// StorageShadow is the paged shadow-memory backend (shadow.go),
-	// tuned for dense address ranges.
-	StorageShadow
 )
 
 func (s Storage) String() string {
@@ -83,8 +80,6 @@ func (s Storage) String() string {
 		return "openaddr"
 	case StorageMap:
 		return "map"
-	case StorageShadow:
-		return "shadow"
 	}
 	return fmt.Sprintf("Storage(%d)", uint8(s))
 }
@@ -96,8 +91,6 @@ func ParseStorage(s string) (Storage, error) {
 		return StorageOpenAddr, nil
 	case "map":
 		return StorageMap, nil
-	case "shadow":
-		return StorageShadow, nil
 	}
 	return 0, fmt.Errorf("core: unknown storage %q", s)
 }
@@ -119,9 +112,8 @@ type Access struct {
 type Detector struct {
 	W *Walker
 
-	table  *locTable          // non-nil for the default open-addressing storage
-	state  map[Addr]*locState // non-nil for map storage
-	shadow *shadowTable       // non-nil for shadow-memory storage
+	table *locTable          // non-nil for the default paged storage
+	state map[Addr]*locState // non-nil for map storage
 
 	// MaxRaces bounds the retained race reports (the count keeps
 	// increasing); 0 means keep everything. The paper's precision
@@ -144,57 +136,40 @@ type Detector struct {
 
 // NewDetector returns a detector expecting about n vertices/threads
 // (growable) and locHint distinct locations (hint only), using the
-// default open-addressing storage for per-location state.
+// default paged storage for per-location state.
 func NewDetector(n, locHint int) *Detector {
 	return NewDetectorStorage(n, locHint, StorageOpenAddr)
 }
 
 // NewDetectorStorage returns a detector with an explicit per-location
-// storage backend; see Storage for the choices.
+// storage backend; see Storage for the choices. locHint presizes only
+// the map: the paged store allocates pages as locations arrive.
 func NewDetectorStorage(n, locHint int, s Storage) *Detector {
 	d := &Detector{W: NewWalker(n)}
-	switch s {
-	case StorageMap:
+	if s == StorageMap {
 		d.state = make(map[Addr]*locState, locHint)
-	case StorageShadow:
-		d.shadow = newShadowTable()
-	default:
-		d.table = newLocTable(locHint)
+	} else {
+		d.table = newLocTable()
 	}
 	return d
 }
 
-// NewDetectorShadow returns a detector using paged shadow-memory storage
-// for per-location state — same Θ(1) per location, better locality for
-// dense address ranges (see shadow.go).
-func NewDetectorShadow(n int) *Detector {
-	return NewDetectorStorage(n, 0, StorageShadow)
-}
-
 // Storage reports the selected per-location storage backend.
 func (d *Detector) Storage() Storage {
-	switch {
-	case d.state != nil:
+	if d.state != nil {
 		return StorageMap
-	case d.shadow != nil:
-		return StorageShadow
-	default:
-		return StorageOpenAddr
 	}
+	return StorageOpenAddr
 }
 
-// loc returns the state slot for a; OnRead and OnWrite call it exactly
-// once per access and reuse the slot between their conflict checks and
-// the supremum update, so each memory operation costs a single table
-// probe. The pointer is valid until the next loc call (table growth
-// happens before the probe, never after).
-func (d *Detector) loc(a Addr) *locState {
-	if d.table != nil {
-		return d.table.get(a)
-	}
-	if d.shadow != nil {
-		return d.shadow.get(a)
-	}
+// mapLoc returns the map storage's state slot for a. OnRead and OnWrite
+// take a slot exactly once per access, from the paged store's get or
+// from mapLoc, and reuse it between their conflict checks and the
+// supremum update, so each memory operation costs a single lookup. The
+// pointer is valid until the next lookup (directory doubling and page
+// promotion happen before it is taken, never after). The branch is
+// written out in both, so the paged store's page-cache hit inlines.
+func (d *Detector) mapLoc(a Addr) *locState {
 	d.mapProbes++
 	st, ok := d.state[a]
 	if !ok {
@@ -224,7 +199,12 @@ func (d *Detector) report(r Race) {
 // is the common repeated-access-by-one-task case in real traces.
 func (d *Detector) OnRead(t int, loc Addr) {
 	d.reads++
-	st := d.loc(loc)
+	var st *locState
+	if d.table != nil {
+		st = d.table.get(loc)
+	} else {
+		st = d.mapLoc(loc)
+	}
 	tt := int32(t)
 	if w := st.write; w != noAccess && w != tt {
 		if s := d.W.Sup(int(w), t); s != t {
@@ -244,7 +224,12 @@ func (d *Detector) OnRead(t int, loc Addr) {
 // query Sup(W[loc], t), so one union-find lookup serves both.
 func (d *Detector) OnWrite(t int, loc Addr) {
 	d.writes++
-	st := d.loc(loc)
+	var st *locState
+	if d.table != nil {
+		st = d.table.get(loc)
+	} else {
+		st = d.mapLoc(loc)
+	}
 	tt := int32(t)
 	if r := st.read; r != noAccess && r != tt {
 		if s := d.W.Sup(int(r), t); s != t {
@@ -299,9 +284,6 @@ func (d *Detector) Locations() int {
 	if d.table != nil {
 		return d.table.locations()
 	}
-	if d.shadow != nil {
-		return d.shadow.locations()
-	}
 	return len(d.state)
 }
 
@@ -311,14 +293,11 @@ func (d *Detector) Locations() int {
 func (d *Detector) BytesPerLocation() int { return 8 }
 
 // MemoryBytes estimates the detector's total state: walker (Θ(1) per
-// thread) plus per-location records (Θ(1) per location; whole pages for
-// the shadow store).
+// thread) plus per-location records (Θ(1) per location; the paged store
+// counts its directory and whole pages).
 func (d *Detector) MemoryBytes() int {
 	if d.table != nil {
 		return d.W.MemoryBytes() + d.table.bytes()
-	}
-	if d.shadow != nil {
-		return d.W.MemoryBytes() + d.shadow.bytes()
 	}
 	const mapEntryOverhead = 16 // key + pointer, amortized bucket space
 	return d.W.MemoryBytes() + len(d.state)*(8+mapEntryOverhead)

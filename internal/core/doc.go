@@ -29,6 +29,16 @@
 //
 //	R[loc] ← Sup(R[loc], t).
 //
+// Where those two identifiers live is a constant-factor question the
+// theorem leaves open, and the detector's running time turns on it.
+// table.go keeps them in paged shadow memory: the states of 64
+// consecutive locations share one 512-byte page, a page is found by its
+// key loc>>6 through a small open-addressing directory behind a
+// one-entry page cache, and a page's first location lives inline in its
+// directory entry until a second one arrives, so sparse ids do not cost
+// a page each. The reference map[Addr]*locState stays behind Storage,
+// and the differential tests hold the two to identical reports.
+//
 // ## 2. Suprema from a traversal (Section 3, Figure 5, Theorem 1)
 //
 // Computing suprema on demand is where the two-dimensional lattice
@@ -109,8 +119,8 @@
 // order, so Theorem 4's precondition holds verbatim. What fans out is
 // the per-location work of §1, which only ever *queries* suprema: each
 // access is stamped with a global sequence number and the structural
-// epoch current at its position in the traversal, then routed by
-// address hash to one of n location shards over a bounded SPSC queue.
+// epoch current at its position in the traversal, then routed by a
+// hash of its location's page to one of n location shards over a bounded SPSC queue.
 // A shard answers its queries against an internal/om epoch snapshot —
 // a write-once published view of the last-arc forest in which an
 // access's epoch pins exactly the joins/halts that preceded it — so a

@@ -13,9 +13,9 @@ import (
 // fork-join structure in canonical order — exactly the Theorem 4 delayed
 // traversal contract, now maintained in an om.Forest whose epoch-stamped
 // write-once words concurrent readers can query lock-free — while every
-// memory access is hashed by address to one of N worker shards. Each
-// shard owns a private slice of location storage (open-addressing table,
-// map or paged shadow memory) and replicates the Figure 6 On-Read /
+// memory access is hashed by its location's page to one of N worker
+// shards. Each shard owns a private slice of location storage (the paged
+// store or the reference map) and replicates the Figure 6 On-Read /
 // On-Write checks against the structure snapshot at the access's epoch.
 //
 // Verdict parity with the serial Detector is exact, not approximate:
@@ -70,9 +70,8 @@ type detShard struct {
 	ord  *om.Forest
 	done chan struct{}
 
-	table  *locTable
-	state  map[Addr]*locState
-	shadow *shadowTable
+	table *locTable
+	state map[Addr]*locState
 
 	maxRaces int
 	races    []Race
@@ -116,13 +115,10 @@ func NewShardedDetector(n, locHint, shards int, storage Storage, queueCap, maxRa
 			done:     make(chan struct{}),
 			maxRaces: maxRaces,
 		}
-		switch storage {
-		case StorageMap:
+		if storage == StorageMap {
 			s.state = make(map[Addr]*locState, perShardHint)
-		case StorageShadow:
-			s.shadow = newShadowTable()
-		default:
-			s.table = newLocTable(perShardHint)
+		} else {
+			s.table = newLocTable()
 		}
 		d.shards = append(d.shards, s)
 		d.pending = append(d.pending, s.q.NewSlab())
@@ -207,6 +203,14 @@ func (d *ShardedDetector) Halt(t int) {
 	d.epoch = d.ord.Epoch()
 }
 
+// shardHash mixes a page key into a well-spread 64-bit value
+// (Fibonacci multiplicative hash, folded so the low bits carry the
+// high-entropy product bits).
+func shardHash(key Addr) uint64 {
+	h := uint64(key) * tableFib
+	return h ^ (h >> 32)
+}
+
 // dispatch hashes the access to its location shard and appends it to
 // the shard's fill slab; full slabs are handed to the shard's queue
 // (blocking when the shard is behind — bounded memory by construction).
@@ -219,8 +223,10 @@ func (d *ShardedDetector) dispatch(t int, loc Addr, write bool) {
 	if write {
 		tw |= 1
 	}
-	// Range-reduce the mixed hash to [0, nshards) without division.
-	i := int((uint64(uint32(tableHash(loc))) * uint64(d.nshards)) >> 32)
+	// Route by page, so a shard's pages fill as densely as the serial
+	// detector's, and range-reduce the mixed hash to [0, nshards)
+	// without division.
+	i := int((uint64(uint32(shardHash(loc>>pageBits))) * uint64(d.nshards)) >> 32)
 	p := append(d.pending[i], shardOp{loc: loc, seq: d.seq, tw: tw, epoch: d.epoch})
 	if len(p) == cap(p) {
 		// Push errors are impossible here: the queue is closed only by
@@ -391,14 +397,11 @@ func (d *ShardedDetector) CheckAccounting() error {
 	return obs.CheckAccounting(d.Stats(), d.ord.Len())
 }
 
-// loc returns the shard-private state slot for a, mirroring
-// Detector.loc.
+// loc returns the shard-private state slot for a, mirroring the
+// serial detector's lookup (locTable.get or Detector.mapLoc).
 func (s *detShard) loc(a Addr) *locState {
 	if s.table != nil {
 		return s.table.get(a)
-	}
-	if s.shadow != nil {
-		return s.shadow.get(a)
 	}
 	s.mapProbes++
 	st, ok := s.state[a]
@@ -413,18 +416,12 @@ func (s *detShard) locations() int {
 	if s.table != nil {
 		return s.table.locations()
 	}
-	if s.shadow != nil {
-		return s.shadow.locations()
-	}
 	return len(s.state)
 }
 
 func (s *detShard) bytes() int {
 	if s.table != nil {
 		return s.table.bytes()
-	}
-	if s.shadow != nil {
-		return s.shadow.bytes()
 	}
 	const mapEntryOverhead = 16
 	return len(s.state) * (8 + mapEntryOverhead)
@@ -433,10 +430,6 @@ func (s *detShard) bytes() int {
 func (s *detShard) storageStats() (probes, rehashSteps, grows uint64) {
 	if s.table != nil {
 		return s.table.stats()
-	}
-	if s.shadow != nil {
-		p, g := s.shadow.stats()
-		return p, 0, g
 	}
 	return s.mapProbes, 0, 0
 }

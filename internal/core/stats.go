@@ -10,8 +10,8 @@ type Stats = obs.Stats
 
 // Stats snapshots the detector's operation counters: memory operations,
 // the walker's supremum queries with the union-find finds/unions/path
-// steps answering them (Theorems 2/3), the location-storage probes,
-// incremental-rehash steps and grows, the batch-size histogram of the
+// steps answering them (Theorems 2/3), the location-storage directory
+// probes, doublings and the entries those re-placed, the batch-size histogram of the
 // batched ingestion path, and the race/location/space totals
 // (Theorem 5). Taking a snapshot allocates only for the trimmed
 // histogram slice and never perturbs the counters.
@@ -19,12 +19,9 @@ func (d *Detector) Stats() Stats {
 	s := d.W.Stats()
 	s.Reads = d.reads
 	s.Writes = d.writes
-	switch {
-	case d.table != nil:
+	if d.table != nil {
 		s.TableProbes, s.TableRehashSteps, s.TableGrows = d.table.stats()
-	case d.shadow != nil:
-		s.TableProbes, s.TableGrows = d.shadow.stats()
-	default:
+	} else {
 		s.TableProbes = d.mapProbes
 	}
 	s.Races = uint64(d.count)

@@ -2,274 +2,232 @@ package core
 
 import "math/bits"
 
-// Open-addressing storage for per-location detector state.
+// Paged storage for per-location detector state.
 //
 // The reference map storage (`map[Addr]*locState`) costs one heap
 // allocation per tracked location plus a hash-bucket walk and a pointer
 // chase on every access; the constant factors drown the Θ(1)-per-location
-// asymptotics of Theorem 5 in measurements. This table stores the two
-// identifiers *by value* in a flat slab of locEntry records probed
-// linearly from a home slot — no per-location allocation, no
-// indirection, one predictable probe sequence per access. It is the
-// detector's default storage; the map and the paged shadow table remain
-// available behind the Storage option for differential testing and for
-// workloads with different locality profiles.
+// asymptotics of Theorem 5 in measurements. This table is the two-level
+// shadow memory real detectors use (FastTrack, TSan): the id space is cut
+// into pages of 64 consecutive locations, each page holds its locations'
+// two identifiers by value (512 bytes, no address stored per entry), and
+// a page is found by its key a>>6 in a small directory. It is the
+// detector's default storage; the map remains behind the Storage option
+// as the reference the differential tests compare against.
 //
-// The home slot is chosen per 64-byte cache line, not per entry. Four
-// 16-byte entries fill a line (slabs are power-of-two allocations of at
-// least 1 KiB, which Go's allocator aligns to at least 1 KiB, so a line
-// of the slab is a cache line), and the four consecutive addresses
-// a&^3 … a|3 share one: the line is the high bits of a Fibonacci
-// product of a>>2, the offset within it a small xor-fold of a's low
-// bits (see home). Every frontend in this repository numbers locations
-// densely, and locations used together (a pipeline cell's payload)
-// tend to be neighbours, so one access usually pulls in the line the
-// next one needs. Fibonacci hashing spreads consecutive groups evenly
-// over the lines, which keeps one dense range from clustering; groups
-// from several ranges can still collide. Probe counts are therefore
-// workload-dependent, and a lookup that misses during a rehash also
-// probes the old slab: the benchmark's traces take 1.1 slots per memory
-// operation on fork-join and 1.9 to 6.9 on the pipeline, depending on
-// its width (EXPERIMENTS E11b).
+// The directory is open-addressing: Fibonacci hashing on the page key,
+// linear probing, load at most 3/4, and whole doubling. Every frontend in
+// this repository numbers locations densely, so the directory holds one
+// entry per 64 locations and a doubling moves little. A one-entry page cache serves consecutive accesses
+// to one page without touching the directory, which is where most of the
+// benchmark's accesses go: the directory is probed 0.5 times per memory
+// operation on its pipeline trace and once on its fork-join trace
+// (EXPERIMENTS E11c).
 //
-// Growth is incremental: when the load factor passes 3/4 the table
-// allocates a doubled slab and migrates a bounded number of old entries
-// per subsequent access, so no single memory operation pays a full-table
-// rehash. Entries are never deleted (the detector only accumulates
-// locations), which keeps probing tombstone-free.
+// Sparse ids would waste a page each, so a directory entry holds the
+// first location of its page inline and promotes to a real page only when
+// a second location of that page is touched. Uniform 64-bit ids then cost
+// one directory entry each; the worst case is two locations per page.
+// Locations are never deleted (the detector only accumulates them).
 
 const (
-	// tableMinSize is the initial slab size (power of two).
-	tableMinSize = 64
-	// tableMigrateStep bounds the old-slab slots scanned per access
-	// during an incremental rehash.
-	tableMigrateStep = 64
-	// tableLineEntries is the number of locEntry records per 64-byte
-	// cache line, and tableLineBits its log2.
-	tableLineEntries = 4
-	tableLineBits    = 2
+	// pageBits is log2 of the locations per page.
+	pageBits = 6
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+	// dirMinSize is the initial directory size (power of two).
+	dirMinSize = 16
 	// tableFib is 2^64 divided by the golden ratio, the Fibonacci
 	// hashing multiplier.
 	tableFib = 0x9E3779B97F4A7C15
 )
 
-// locEntry is one slab slot: the location address plus its R/W suprema,
-// held by value. addr 0 marks an empty slot; the real address 0 lives in
-// a dedicated side slot (see locTable.zero).
-type locEntry struct {
-	addr  Addr
-	state locState
+// locPage holds the state of the 64 locations key<<6 … key<<6|63.
+type locPage [pageSize]locState
+
+// dirEntry is one directory slot. A used slot's addr is the first
+// location touched on its page, so addr>>pageBits is the page key. With
+// page nil the slot is inline: st is the state of addr, the only
+// location of the page touched so far. A slot with page nil and addr 0 is
+// empty; page 0 (ids 0–63) is therefore always promoted at once, so no
+// inline slot has addr 0.
+type dirEntry struct {
+	addr Addr
+	page *locPage
+	st   locState
 }
 
-// locTable is a linear-probing open-addressing table from Addr to
-// locState with power-of-two capacity and incremental rehash.
+func (e *dirEntry) empty() bool { return e.page == nil && e.addr == 0 }
+
+// locTable is the paged store: a directory of pages from Addr to
+// locState with a one-entry page cache.
 type locTable struct {
-	entries []locEntry
-	mask    uint64
-	shift   uint // 64 - log2(lines in entries); see home
-	count   int  // distinct locations, including the side slots
+	dir   []dirEntry
+	mask  uint64
+	shift uint // 64 - log2(len(dir)): Fibonacci hash to slot
+	used  int  // non-empty directory slots
+	pages int  // promoted pages
 
-	// Incremental rehash: old holds the previous slab until every live
-	// entry has been migrated; lookups consult it on a miss in entries.
-	old      []locEntry
-	oldMask  uint64
-	oldShift uint
-	migrated int // next old slot to examine
-
-	// Side slots for the two addresses that cannot live in the slab:
-	// 0 doubles as the empty-slot marker.
-	zero    locState
-	hasZero bool
-	top     locState // state for ^Addr(0)
-	hasTop  bool
+	// The page cache: the page of the last paged hit. lastKey starts
+	// at ^0, which no page key reaches (keys are below 2^58).
+	lastKey uint64
+	last    *locPage
 
 	// Operation counters (plain uint64s, serial structure): probes
-	// counts slots examined across all lookups, rehashSteps counts
-	// old-slab slots migrated incrementally, grows counts slab
-	// doublings. They expose the table's constant factors next to the
-	// union-find counts in core.Stats.
+	// counts directory slots examined by lookups that missed the page
+	// cache, grows counts directory doublings and rehashSteps the
+	// entries those doublings re-placed. They expose the table's
+	// constant factors next to the union-find counts in core.Stats.
 	probes      uint64
 	rehashSteps uint64
 	grows       uint64
 }
 
-// newLocTable returns a table presized for about locHint locations.
-func newLocTable(locHint int) *locTable {
-	size := tableMinSize
-	for size*3 < locHint*4 { // keep the hinted load under 3/4
-		size <<= 1
-	}
+// newLocTable returns an empty table. Pages are allocated on first use,
+// so there is nothing to presize.
+func newLocTable() *locTable {
 	return &locTable{
-		entries: make([]locEntry, size),
-		mask:    uint64(size - 1),
-		shift:   lineShift(size),
+		dir:     make([]dirEntry, dirMinSize),
+		mask:    dirMinSize - 1,
+		shift:   dirShift(dirMinSize),
+		lastKey: ^uint64(0),
 	}
 }
 
-// lineShift returns the shift that maps a 64-bit Fibonacci product to
-// a line index of a slab with size entries (a power of two).
-func lineShift(size int) uint {
-	return 64 - uint(bits.TrailingZeros(uint(size))-tableLineBits)
-}
+// dirShift returns the shift that maps a 64-bit Fibonacci product to a
+// slot of a directory with size slots (a power of two).
+func dirShift(size int) uint { return 64 - uint(bits.TrailingZeros(uint(size))) }
 
-// home returns a's first probe slot in a slab whose line shift is
-// shift. The line is the high bits of the Fibonacci product of a>>2,
-// so a&^3 … a|3 land in one line and consecutive groups spread evenly
-// over the slab. The offset xor-folds bits 0–5 of a: within a group it
-// permutes a&3 over the four slots, and word-strided addresses (8 or
-// 16 bytes apart, a&3 constant) still reach all four offsets.
-func home(a Addr, shift uint) uint64 {
-	line := (uint64(a>>tableLineBits) * tableFib) >> shift
-	return line<<tableLineBits | uint64(a^a>>2^a>>4)&(tableLineEntries-1)
-}
-
-// tableHash mixes the address into a well-spread 64-bit value
-// (Fibonacci multiplicative hash, folded so the low bits carry the
-// high-entropy product bits). The sharded detector routes locations to
-// shards with it; the table itself places entries with home.
-func tableHash(a Addr) uint64 {
-	h := uint64(a) * tableFib
-	return h ^ (h >> 32)
-}
-
-// get returns the state slot for a, inserting a fresh {noAccess,
-// noAccess} record on first touch. The returned pointer stays valid
-// until the next call to get: growth and migration run before the
-// probe, never after.
+// get returns the state slot for a, fresh ({noAccess, noAccess}) on
+// first touch. The returned pointer stays valid until the next call to
+// get: directory doubling and page promotion run before it is taken,
+// never after. A page-cache hit is small enough to inline into the
+// detector's OnRead/OnWrite.
 func (t *locTable) get(a Addr) *locState {
-	switch a {
-	case 0:
-		t.probes++
-		if !t.hasZero {
-			t.zero = locState{read: noAccess, write: noAccess}
-			t.hasZero = true
-			t.count++
-		}
-		return &t.zero
-	case ^Addr(0):
-		t.probes++
-		if !t.hasTop {
-			t.top = locState{read: noAccess, write: noAccess}
-			t.hasTop = true
-			t.count++
-		}
-		return &t.top
+	if uint64(a)>>pageBits == t.lastKey {
+		return &t.last[a&pageMask]
 	}
-	if t.old != nil {
-		t.migrate(tableMigrateStep)
-	}
-	if (t.count+1)*4 > len(t.entries)*3 {
-		t.grow()
-	}
-	i := home(a, t.shift)
+	return t.lookup(a)
+}
+
+// lookup finds a's slot through the directory, inserting or promoting
+// its page's entry as needed, and caches a's page when it has one.
+func (t *locTable) lookup(a Addr) *locState {
+	key := uint64(a) >> pageBits
+	i := (key * tableFib) >> t.shift
 	probed := uint64(0) // accumulated locally; one store on exit keeps the loop tight
 	for {
 		probed++
-		e := &t.entries[i]
-		if e.addr == a {
+		e := &t.dir[i]
+		if e.empty() {
 			t.probes += probed
-			return &e.state
+			return t.insert(e, a)
 		}
-		if e.addr == 0 {
+		if uint64(e.addr)>>pageBits == key {
 			t.probes += probed
-			if t.old != nil {
-				if st, ok := t.lookupOld(a); ok {
-					// Move the still-unmigrated entry over; the stale
-					// old copy is shadowed (entries probes first) and
-					// skipped by migrate's insert-if-absent.
-					*e = locEntry{addr: a, state: st}
-					return &e.state
+			if e.page == nil {
+				if e.addr == a {
+					return &e.st
+				}
+				t.promote(e)
+			}
+			t.lastKey, t.last = key, e.page
+			return &e.page[a&pageMask]
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+// insert claims the empty slot e for a's page, first doubling the
+// directory if that would pass 3/4 load.
+func (t *locTable) insert(e *dirEntry, a Addr) *locState {
+	if (t.used+1)*4 > len(t.dir)*3 {
+		t.grow()
+		e = t.free(uint64(a) >> pageBits)
+	}
+	t.used++
+	*e = dirEntry{addr: a, st: locState{read: noAccess, write: noAccess}}
+	if a>>pageBits != 0 {
+		return &e.st
+	}
+	// Page 0 holds the empty-slot marker's address, so it is never
+	// inline.
+	t.promote(e)
+	t.lastKey, t.last = 0, e.page
+	return &e.page[a&pageMask]
+}
+
+// promote gives the inline entry e a page holding its location's state.
+func (t *locTable) promote(e *dirEntry) {
+	p := new(locPage)
+	for i := range p {
+		p[i] = locState{read: noAccess, write: noAccess}
+	}
+	p[e.addr&pageMask] = e.st
+	e.page = p
+	t.pages++
+}
+
+// free returns the first empty slot on key's probe path; the caller
+// knows key is absent.
+func (t *locTable) free(key uint64) *dirEntry {
+	i := (key * tableFib) >> t.shift
+	for {
+		e := &t.dir[i]
+		if e.empty() {
+			return e
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+// grow doubles the directory and re-places every entry. Pages do not
+// move, so the page cache stays valid.
+func (t *locTable) grow() {
+	old := t.dir
+	t.dir = make([]dirEntry, 2*len(old))
+	t.mask = uint64(len(t.dir) - 1)
+	t.shift = dirShift(len(t.dir))
+	t.grows++
+	for i := range old {
+		if e := &old[i]; !e.empty() {
+			*t.free(uint64(e.addr) >> pageBits) = *e
+			t.rehashSteps++
+		}
+	}
+}
+
+// locations returns the number of distinct locations whose slot holds an
+// access. Every caller (the detector's OnRead/OnWrite) stores an access
+// into each slot get returns, so that is every location ever touched.
+// It scans the store, which is cheap next to the accesses that filled
+// it: callers ask once per Report.
+func (t *locTable) locations() int {
+	n := 0
+	for i := range t.dir {
+		e := &t.dir[i]
+		switch {
+		case e.page != nil:
+			for _, st := range e.page {
+				if st != (locState{read: noAccess, write: noAccess}) {
+					n++
 				}
 			}
-			e.addr = a
-			e.state = locState{read: noAccess, write: noAccess}
-			t.count++
-			return &e.state
+		case !e.empty() && e.st != (locState{read: noAccess, write: noAccess}):
+			n++
 		}
-		i = (i + 1) & t.mask
 	}
+	return n
 }
-
-// lookupOld probes the pre-rehash slab for a.
-func (t *locTable) lookupOld(a Addr) (locState, bool) {
-	i := home(a, t.oldShift)
-	probed := uint64(0)
-	for {
-		probed++
-		e := &t.old[i]
-		if e.addr == a {
-			t.probes += probed
-			return e.state, true
-		}
-		if e.addr == 0 {
-			t.probes += probed
-			return locState{}, false
-		}
-		i = (i + 1) & t.oldMask
-	}
-}
-
-// grow starts (or, if one is still running, completes and restarts) an
-// incremental rehash into a doubled slab.
-func (t *locTable) grow() {
-	if t.old != nil {
-		t.migrate(len(t.old)) // finish the in-flight rehash first
-	}
-	t.grows++
-	t.old = t.entries
-	t.oldMask = t.mask
-	t.oldShift = t.shift
-	t.migrated = 0
-	t.entries = make([]locEntry, 2*len(t.old))
-	t.mask = uint64(len(t.entries) - 1)
-	t.shift = lineShift(len(t.entries))
-}
-
-// migrate examines up to steps slots of the old slab, inserting live
-// entries absent from the new one, and drops the old slab once every
-// slot has been examined.
-func (t *locTable) migrate(steps int) {
-	for ; steps > 0 && t.migrated < len(t.old); steps-- {
-		e := t.old[t.migrated]
-		t.migrated++
-		t.rehashSteps++
-		if e.addr != 0 {
-			t.insertIfAbsent(e)
-		}
-	}
-	if t.migrated >= len(t.old) {
-		t.old = nil
-	}
-}
-
-// insertIfAbsent places a migrated entry into the current slab unless a
-// fresher copy already moved (via lookupOld during a get).
-func (t *locTable) insertIfAbsent(src locEntry) {
-	i := home(src.addr, t.shift)
-	for {
-		e := &t.entries[i]
-		if e.addr == src.addr {
-			return
-		}
-		if e.addr == 0 {
-			*e = src
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// locations returns the number of distinct locations ever touched.
-func (t *locTable) locations() int { return t.count }
 
 // stats returns the table's operation counters.
 func (t *locTable) stats() (probes, rehashSteps, grows uint64) {
 	return t.probes, t.rehashSteps, t.grows
 }
 
-// bytes reports the table's real memory footprint (both slabs while a
-// rehash is in flight).
+// bytes reports the table's real memory footprint: the directory plus
+// every promoted page.
 func (t *locTable) bytes() int {
-	const entrySize = 16 // addr + two int32
-	return (len(t.entries) + len(t.old)) * entrySize
+	const entrySize, pageBytes = 24, pageSize * 8 // addr + pointer + two int32
+	return len(t.dir)*entrySize + t.pages*pageBytes
 }

@@ -19,30 +19,22 @@ type DetectorSink struct {
 }
 
 // NewDetectorSink returns a sink wrapping a fresh detector sized for
-// roughly nTasks tasks, on the default (open-addressing) storage.
+// roughly nTasks tasks, on the default (paged) storage.
 func NewDetectorSink(nTasks int) *DetectorSink {
 	return &DetectorSink{D: core.NewDetector(nTasks, 64)}
 }
 
 // NewDetectorSinkStorage is NewDetectorSink with an explicit per-location
-// storage backend (openaddr, map or shadow); every backend reports
-// identical races (see the differential tests).
+// storage backend (the default paged store or the reference map); both
+// report identical races (see the differential tests).
 func NewDetectorSinkStorage(nTasks int, s core.Storage) *DetectorSink {
 	return NewDetectorSinkSized(nTasks, 64, s)
 }
 
-// NewDetectorSinkSized additionally passes a location-count hint, so a
-// monitor that knows its scale starts with right-sized tables instead of
-// growing through every doubling.
+// NewDetectorSinkSized additionally passes a location-count hint, which
+// presizes the map storage; the paged store allocates pages on demand.
 func NewDetectorSinkSized(nTasks, locHint int, s core.Storage) *DetectorSink {
 	return &DetectorSink{D: core.NewDetectorStorage(nTasks, locHint, s)}
-}
-
-// NewDetectorSinkShadow is NewDetectorSink with paged shadow-memory
-// location storage — allocation-free on dense address ranges, identical
-// verdicts (see internal/core/shadow.go and its benchmarks).
-func NewDetectorSinkShadow(nTasks int) *DetectorSink {
-	return &DetectorSink{D: core.NewDetectorShadow(nTasks)}
 }
 
 // Event implements Sink.

@@ -44,10 +44,12 @@ type Stats struct {
 	Unions    uint64 `json:"unions,omitempty"`
 	PathSteps uint64 `json:"path_steps,omitempty"` // parent rewrites during path halving
 
-	// Open-addressing / shadow location storage.
-	TableProbes      uint64 `json:"table_probes,omitempty"`       // slots examined across all lookups
-	TableRehashSteps uint64 `json:"table_rehash_steps,omitempty"` // old-slab slots migrated incrementally
-	TableGrows       uint64 `json:"table_grows,omitempty"`        // slab doublings (shadow: pages allocated)
+	// Location storage. The paged store counts directory work: a page-
+	// cache hit costs no probe. The map storage counts one probe per
+	// lookup and leaves the other two at zero.
+	TableProbes      uint64 `json:"table_probes,omitempty"`       // directory slots examined by lookups that missed the page cache
+	TableRehashSteps uint64 `json:"table_rehash_steps,omitempty"` // directory entries re-placed by doublings
+	TableGrows       uint64 `json:"table_grows,omitempty"`        // directory doublings
 
 	// Vector-clock family (vc, fasttrack, naive).
 	ClockJoins   uint64 `json:"clock_joins,omitempty"`           // pointwise clock merges

@@ -79,10 +79,10 @@ func TestWithBatchSizeInvariant(t *testing.T) {
 	}
 }
 
-// TestWithStorageBackends: every 2D storage backend reports the Figure 2
+// TestWithStorageBackends: both 2D storage backends report the Figure 2
 // race; combining WithStorage with a non-2D engine is rejected.
 func TestWithStorageBackends(t *testing.T) {
-	for _, s := range []Storage{StorageOpenAddr, StorageMap, StorageShadow} {
+	for _, s := range []Storage{StorageOpenAddr, StorageMap} {
 		rep, err := Detect(figure2, WithStorage(s))
 		if err != nil {
 			t.Fatalf("storage %v: %v", s, err)
@@ -185,7 +185,7 @@ func TestStreamDetectorSurface(t *testing.T) {
 		t.Fatalf("stream report = %+v", rep)
 	}
 	// The batch path observes task ids too.
-	b := New2DSink(StorageShadow)
+	b := New2DSink(StorageMap)
 	b.EventBatch(tr.Events)
 	if rep := b.Report(); !rep.Racy() || rep.Tasks != 3 || rep.Engine != Engine2D {
 		t.Fatalf("batched stream report = %+v", rep)

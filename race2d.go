@@ -120,21 +120,20 @@ type (
 // ErrStructure wraps all fork-join discipline violations.
 var ErrStructure = fj.ErrStructure
 
-// Storage selects the 2D detector's per-location state backend; all
+// Storage selects the 2D detector's per-location state backend; both
 // backends report identical races (see the differential tests) and
 // differ only in constant factors.
 type Storage = core.Storage
 
 const (
-	// StorageOpenAddr is the default open-addressing table:
-	// allocation-free accesses, linear probing from a cache-line home
-	// slot (1.1 to 6.9 slots per memory operation on the benchmark's
-	// traces; EXPERIMENTS E11b).
+	// StorageOpenAddr is the default paged store: 64-location pages
+	// found through a small open-addressing directory, with a one-entry
+	// page cache, allocation-free once a location's page exists (0.5
+	// directory probes per memory operation on the benchmark's pipeline
+	// trace, 1.0 on its fork-join trace; EXPERIMENTS E11c).
 	StorageOpenAddr = core.StorageOpenAddr
 	// StorageMap is the reference Go-map backend.
 	StorageMap = core.StorageMap
-	// StorageShadow is the paged shadow-memory backend.
-	StorageShadow = core.StorageShadow
 )
 
 // BatchSink is an event sink that can ingest events in batches (see

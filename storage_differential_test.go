@@ -13,15 +13,17 @@ import (
 	"repro/internal/workload"
 )
 
-// storageMatrix replays tr through every storage backend on both the
-// per-event and the batched ingestion path and asserts all six
-// combinations report byte-identical races. Returns the common verdict.
+// storageMatrix replays tr through both storage backends (paged and
+// map) on both the per-event and the batched ingestion path and asserts
+// all four combinations report byte-identical races, race counts and
+// location counts. Returns the common verdict.
 func storageMatrix(t *testing.T, label string, tr *fj.Trace) bool {
 	t.Helper()
-	storages := []core.Storage{core.StorageOpenAddr, core.StorageMap, core.StorageShadow}
+	storages := []core.Storage{core.StorageOpenAddr, core.StorageMap}
 	type cell struct {
-		name  string
-		races []core.Race
+		name        string
+		races       []core.Race
+		count, locs int
 	}
 	var cells []cell
 	for _, s := range storages {
@@ -33,11 +35,15 @@ func storageMatrix(t *testing.T, label string, tr *fj.Trace) bool {
 			} else {
 				tr.Replay(d)
 			}
-			cells = append(cells, cell{name, d.Races()})
+			cells = append(cells, cell{name, d.Races(), d.D.Count(), d.D.Locations()})
 		}
 	}
 	want := cells[0]
 	for _, c := range cells[1:] {
+		if c.count != want.count || c.locs != want.locs {
+			t.Fatalf("%s: %s counts %d races over %d locations, %s counts %d over %d",
+				label, want.name, want.count, want.locs, c.name, c.count, c.locs)
+		}
 		if len(c.races) != len(want.races) {
 			t.Fatalf("%s: %s reports %d races, %s reports %d",
 				label, want.name, len(want.races), c.name, len(c.races))
