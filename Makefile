@@ -47,10 +47,11 @@ verify: fmt-check vet build perfbench-build test race shard-parity store-parity
 perfbench-build:
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
-# Detector hot-path benchmarks: storage backends (openaddr/map/shadow) ×
-# ingestion paths (per-event, batched, steady-state) on the pipeline and
-# spawn-tree workloads. The steady openaddr rows are the allocation-free
-# monitor hot path.
+# Detector hot-path benchmarks: storage backends (the default paged
+# store "openaddr" and the reference "map") × per-event replay into a
+# fresh detector (replay/) and into a warm one (steady/), on the
+# pipeline and spawn-tree workloads. The steady openaddr rows are the
+# allocation-free monitor hot path.
 bench:
 	$(GO) test -run=NONE -bench BenchmarkDetector -benchmem .
 

@@ -228,11 +228,9 @@ func detectorBenchTrace(b *testing.B, name string) *fj.Trace {
 //
 //   - replay/…: full event replay into a fresh detector each iteration,
 //     one event at a time — storage=map is the seed detector's path.
-//   - batch/…: the same replay through the batched ingestion path
-//     (EventBuffer-sized runs into Detector.OnAccessBatch).
-//   - steady/…: replay into an already-warm detector, the
-//     steady-state regime of a long-running monitor; the paged
-//     backend runs allocation-free here (0 allocs/op).
+//   - steady/…: the same per-event replay into an already-warm
+//     detector, the steady-state regime of a long-running monitor; the
+//     paged backend runs allocation-free here (0 allocs/op).
 func BenchmarkDetector(b *testing.B) {
 	storages := []core.Storage{core.StorageOpenAddr, core.StorageMap}
 	for _, wl := range []string{"pipeline", "spawntree"} {
@@ -260,23 +258,13 @@ func BenchmarkDetector(b *testing.B) {
 			})
 		}
 		for _, s := range storages {
-			b.Run(fmt.Sprintf("batch/storage=%s/workload=%s", s, wl), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					d := fj.NewDetectorSinkSized(16, locHint, s)
-					tr.ReplayBatches(d, 0)
-				}
-				perMemop(b)
-			})
-		}
-		for _, s := range storages {
 			b.Run(fmt.Sprintf("steady/storage=%s/workload=%s", s, wl), func(b *testing.B) {
 				d := fj.NewDetectorSinkSized(16, locHint, s)
-				tr.ReplayBatches(d, 0) // warm: tables sized, locations touched
+				tr.Replay(d) // warm: tables sized, locations touched
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tr.ReplayBatches(d, 0)
+					tr.Replay(d)
 				}
 				perMemop(b)
 			})

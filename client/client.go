@@ -318,7 +318,7 @@ func backoff(o options, attempt int) time.Duration {
 // reader and heartbeat goroutines.
 func (s *Session) handshake(conn net.Conn, token uint64) error {
 	conn.SetDeadline(time.Now().Add(s.opts.DialTimeout))
-	hello := wire.Hello{Engine: s.opts.Engine, BatchSize: s.opts.BatchSize, Token: token, RouteKey: s.opts.RouteKey}
+	hello := wire.Hello{Engine: s.opts.Engine, Token: token, RouteKey: s.opts.RouteKey}
 	if s.opts.AuthToken != "" {
 		hello.Caps = wire.CapTenant
 		hello.Auth = s.opts.AuthToken
@@ -326,7 +326,7 @@ func (s *Session) handshake(conn net.Conn, token uint64) error {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	err := wire.WriteMagic(bw)
 	if err == nil {
-		err = wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHelloV3(hello))
+		err = wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHello(hello))
 	}
 	if err == nil {
 		err = bw.Flush()

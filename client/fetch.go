@@ -100,7 +100,7 @@ func fetchOnce(addr string, token uint64, norm options) (*Fetched, error) {
 	}
 	bw := bufio.NewWriter(conn)
 	if err := wire.WriteMagic(bw); err == nil {
-		err = wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHelloV3(hello))
+		err = wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHello(hello))
 	}
 	if err == nil {
 		err = bw.Flush()

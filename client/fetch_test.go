@@ -48,7 +48,7 @@ func readFetchHello(c net.Conn) (wire.Hello, bool) {
 	if err != nil || ft != wire.FrameHello {
 		return wire.Hello{}, false
 	}
-	h, err := wire.DecodeHelloV3(payload)
+	h, err := wire.DecodeHello(payload)
 	return h, err == nil
 }
 

@@ -25,20 +25,6 @@ func WithEngine(name string) Option {
 	}
 }
 
-// WithBatchSize asks the server to deliver events to its engine in
-// batches of n. Zero delivers per event, which keeps the remote
-// Report's Stats identical to an unbuffered local run. Negative sizes
-// are a configuration error.
-func WithBatchSize(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("client: negative batch size %d", n)
-		}
-		o.BatchSize = n
-		return nil
-	}
-}
-
 // WithFrameEvents sets the transport batch: events packed per wire
 // frame, each encoded as one self-contained block (default
 // DefaultFrameEvents, 4096). Smaller frames pay the block codec's
@@ -236,7 +222,6 @@ func WithAuthToken(token string) Option {
 // defaults of every field left zero.
 type options struct {
 	Engine            string        // WithEngine
-	BatchSize         int           // WithBatchSize
 	EventsPerFrame    int           // WithFrameEvents
 	DialTimeout       time.Duration // WithDialTimeout
 	FinishTimeout     time.Duration // WithFinishTimeout

@@ -29,7 +29,6 @@ func TestOptionValidation(t *testing.T) {
 		opt  Option
 		want string // substring of the error
 	}{
-		{"batch-negative", WithBatchSize(-1), "batch size"},
 		{"frame-zero", WithFrameEvents(0), "frame events"},
 		{"frame-negative", WithFrameEvents(-5), "frame events"},
 		{"dial-zero", WithDialTimeout(0), "dial timeout"},
@@ -63,7 +62,6 @@ func TestOptionValidation(t *testing.T) {
 func TestOptionConstructorsSetFields(t *testing.T) {
 	got := apply(t,
 		WithEngine("fasttrack"),
-		WithBatchSize(128),
 		WithFrameEvents(256),
 		WithDialTimeout(3*time.Second),
 		WithFinishTimeout(time.Minute),
@@ -79,7 +77,6 @@ func TestOptionConstructorsSetFields(t *testing.T) {
 	)
 	want := options{
 		Engine:            "fasttrack",
-		BatchSize:         128,
 		EventsPerFrame:    256,
 		DialTimeout:       3 * time.Second,
 		FinishTimeout:     time.Minute,

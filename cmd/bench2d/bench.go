@@ -46,7 +46,7 @@ type accountable interface{ CheckAccounting() error }
 type benchDetector struct {
 	name    string
 	spOnly  bool // defined only on series-parallel workloads
-	batched bool // replay through the batched ingestion path
+	batched bool // replay in DefaultBatchSize slabs through the engine's EventBatch
 	fresh   func() benchSink
 }
 
@@ -58,8 +58,7 @@ func benchDetectors() []benchDetector {
 		return func() benchSink { return race2d.NewEngineSink(e) }
 	}
 	return []benchDetector{
-		{name: "2d", batched: true, fresh: storage(core.StorageOpenAddr)},
-		{name: "2d-unbatched", fresh: storage(core.StorageOpenAddr)},
+		{name: "2d", fresh: storage(core.StorageOpenAddr)},
 		{name: "2d-map", fresh: storage(core.StorageMap)},
 		{name: "vc", batched: true, fresh: engine(race2d.EngineVC)},
 		{name: "fasttrack", batched: true, fresh: engine(race2d.EngineFastTrack)},
@@ -152,7 +151,7 @@ type benchCell struct {
 
 func (c *benchCell) replay(d benchSink) {
 	if c.det.batched {
-		c.wl.tr.ReplayBatches(d, 0)
+		c.wl.tr.ReplayBatches(d)
 	} else {
 		c.wl.tr.Replay(d)
 	}

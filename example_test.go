@@ -68,9 +68,8 @@ func ExampleDetectSpawnSync() {
 }
 
 // Functional options are the single configuration surface: engine,
-// storage backend, event batching, cancellation context and stats
-// capture all thread through the same variadic parameter, on every
-// frontend.
+// storage backend, cancellation context and stats capture all thread
+// through the same variadic parameter, on every frontend.
 func ExampleDetect_options() {
 	var stats race2d.Stats
 	report, err := race2d.Detect(func(t *race2d.Task) {
@@ -79,7 +78,6 @@ func ExampleDetect_options() {
 		t.Join(h)
 	},
 		race2d.WithStorage(race2d.StorageMap),
-		race2d.WithBatchSize(256),
 		race2d.WithStats(&stats),
 	)
 	if err != nil {

@@ -461,7 +461,7 @@ func (g *Gateway) handle(clientConn net.Conn) {
 		g.refuse(clientConn, true, "racedctl: expected hello frame")
 		return
 	}
-	hello, err := wire.DecodeHelloV3(payload)
+	hello, err := wire.DecodeHello(payload)
 	if err != nil {
 		g.refuse(clientConn, true, "racedctl: malformed hello: %v", err)
 		return

@@ -131,7 +131,7 @@ func TestGatewayShutdownClosesLateAcceptedConn(t *testing.T) {
 	if err := wire.WriteMagic(conn); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{Engine: "2d"})); err != nil {
+	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHello(wire.Hello{Engine: "2d"})); err != nil {
 		t.Fatal(err)
 	}
 	<-late.accepted
@@ -508,7 +508,7 @@ func TestGatewayMigratesOnDrain(t *testing.T) {
 func TestGatewayRefusesRetiredVersions(t *testing.T) {
 	b := startBackend(t, server.Config{})
 	_, addr := startGateway(t, []*backend{b}, nil)
-	hello := wire.AppendFrame(nil, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{Engine: "2d"}))
+	hello := wire.AppendFrame(nil, wire.FrameHello, wire.EncodeHello(wire.Hello{Engine: "2d"}))
 	for _, version := range []byte{1, 2, wire.Version + 1} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {

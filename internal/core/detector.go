@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "fmt"
 
 // Addr identifies a monitored memory location.
 type Addr uint64
@@ -95,9 +91,9 @@ func ParseStorage(s string) (Storage, error) {
 	return 0, fmt.Errorf("core: unknown storage %q", s)
 }
 
-// Access is one memory operation of a batch (see OnAccessBatch): task T
-// reads or writes Loc. The layout is chosen so a batch packs densely
-// (16 bytes per access).
+// Access is one memory operation of a sharded-detector batch (see
+// ShardedDetector.OnAccessBatch): task T reads or writes Loc. The layout
+// is chosen so a batch packs densely (16 bytes per access).
 type Access struct {
 	Loc   Addr
 	T     int32
@@ -108,7 +104,7 @@ type Access struct {
 // walker of Figure 8. Feed it the traversal of the executing program
 // (loops, last-arcs and stop-arcs — typically the thread-compressed stream
 // emitted by a fork-join runtime) and call OnRead/OnWrite at every memory
-// operation of the current vertex, or OnAccessBatch for whole runs.
+// operation of the current vertex: one supremum query per operation.
 type Detector struct {
 	W *Walker
 
@@ -125,13 +121,12 @@ type Detector struct {
 	races []Race
 	count int
 
-	// Operation counters (plain uint64s on the serial hot path) and the
-	// batch-size histogram; Stats() snapshots them together with the
-	// walker and storage counters.
+	// Operation counters (plain uint64s on the serial hot path);
+	// Stats() snapshots them together with the walker and storage
+	// counters.
 	reads     uint64
 	writes    uint64
-	mapProbes uint64 // map-storage lookups (the other backends count internally)
-	batches   obs.Histogram
+	mapProbes uint64 // map-storage lookups (the paged store counts internally)
 }
 
 // NewDetector returns a detector expecting about n vertices/threads
@@ -244,28 +239,6 @@ func (d *Detector) OnWrite(t int, loc Addr) {
 			d.report(Race{Loc: loc, Current: t, Prior: s, Kind: WriteWrite})
 		}
 		st.write = int32(s)
-	}
-}
-
-// OnAccessBatch processes a run of memory accesses in one call,
-// amortizing the per-operation call and dispatch overhead of
-// OnRead/OnWrite. Each access performs the loop step for its task (the
-// walker Visit that OnRead/OnWrite leave to the caller) followed by the
-// Figure 6 checks, so a batch of accesses by the current task is
-// equivalent to the corresponding Visit+OnRead/OnWrite sequence.
-// Control events (fork/join/halt) delimit batches; see fj.EventBuffer.
-func (d *Detector) OnAccessBatch(batch []Access) {
-	d.batches.Observe(len(batch))
-	w := d.W
-	for i := range batch {
-		a := &batch[i]
-		t := int(a.T)
-		w.Visit(t)
-		if a.Write {
-			d.OnWrite(t, a.Loc)
-		} else {
-			d.OnRead(t, a.Loc)
-		}
 	}
 }
 

@@ -107,7 +107,7 @@
 // buffer their events into per-task bounded queues, and a single merge
 // stage linearizes them — producing the canonical fork-first
 // linearization, one valid delayed traversal among many — before
-// handing the detector whole batches (OnAccessBatch). Concurrency ends
+// handing the detector one event at a time. Concurrency ends
 // at the merge stage; the detector's Θ(α) amortized serial consumption
 // is the pipeline's drain, and verdicts are bit-identical to serial
 // replay because the merged order *is* the serial order.

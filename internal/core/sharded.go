@@ -50,8 +50,7 @@ type ShardedDetector struct {
 	races []Race
 	count int
 
-	visits  uint64
-	batches obs.Histogram
+	visits uint64
 }
 
 // shardOp is one memory access in flight from the structure stage to a
@@ -243,10 +242,9 @@ func (d *ShardedDetector) OnRead(t int, loc Addr) { d.dispatch(t, loc, false) }
 // OnWrite dispatches a write of loc by task t (including its loop step).
 func (d *ShardedDetector) OnWrite(t int, loc Addr) { d.dispatch(t, loc, true) }
 
-// OnAccessBatch dispatches a run of memory accesses, mirroring
-// Detector.OnAccessBatch (the batch histogram included).
+// OnAccessBatch dispatches a run of memory accesses in one call, each
+// exactly as OnRead/OnWrite would.
 func (d *ShardedDetector) OnAccessBatch(batch []Access) {
-	d.batches.Observe(len(batch))
 	for i := range batch {
 		a := &batch[i]
 		d.dispatch(int(a.T), a.Loc, a.Write)
@@ -386,8 +384,6 @@ func (d *ShardedDetector) Stats() Stats {
 	st.Races = uint64(d.count)
 	st.Locations = uint64(d.Locations())
 	st.BytesPerLocation = float64(d.BytesPerLocation())
-	st.Batches = d.batches.Count()
-	st.BatchSizes = d.batches.Snapshot()
 	return st
 }
 

@@ -14,7 +14,7 @@ import (
 func replaySharded(tr *fj.Trace, shards int, s core.Storage, batched bool) *fj.ShardedDetectorSink {
 	sink := fj.NewShardedDetectorSink(4, 64, shards, s, 0)
 	if batched {
-		tr.ReplayBatches(sink, 0)
+		tr.ReplayBatches(sink)
 	} else {
 		tr.Replay(sink)
 	}

@@ -11,10 +11,9 @@ type Stats = obs.Stats
 // Stats snapshots the detector's operation counters: memory operations,
 // the walker's supremum queries with the union-find finds/unions/path
 // steps answering them (Theorems 2/3), the location-storage directory
-// probes, doublings and the entries those re-placed, the batch-size histogram of the
-// batched ingestion path, and the race/location/space totals
-// (Theorem 5). Taking a snapshot allocates only for the trimmed
-// histogram slice and never perturbs the counters.
+// probes, doublings and the entries those re-placed, and the
+// race/location/space totals (Theorem 5). Taking a snapshot never
+// allocates or perturbs the counters.
 func (d *Detector) Stats() Stats {
 	s := d.W.Stats()
 	s.Reads = d.reads
@@ -27,8 +26,6 @@ func (d *Detector) Stats() Stats {
 	s.Races = uint64(d.count)
 	s.Locations = uint64(d.Locations())
 	s.BytesPerLocation = float64(d.BytesPerLocation())
-	s.Batches = d.batches.Count()
-	s.BatchSizes = d.batches.Snapshot()
 	return s
 }
 

@@ -52,7 +52,7 @@ func TestAccountingOnGridTraversals(t *testing.T) {
 }
 
 // TestDetectorStats checks the detector-level snapshot: memory
-// operations, storage counters, races and the batch histogram.
+// operations, storage counters and races.
 func TestDetectorStats(t *testing.T) {
 	for _, storage := range []Storage{StorageOpenAddr, StorageMap} {
 		d := NewDetectorStorage(4, 0, storage)
@@ -90,41 +90,28 @@ func TestDetectorStats(t *testing.T) {
 	}
 }
 
-// TestDetectorBatchHistogram verifies OnAccessBatch feeds the
-// batch-size histogram.
-func TestDetectorBatchHistogram(t *testing.T) {
-	d := NewDetector(4, 0)
-	batch := make([]Access, 10)
-	for i := range batch {
-		batch[i] = Access{Loc: Addr(i + 1), T: 0, Write: i%2 == 0}
-	}
-	d.OnAccessBatch(batch)
-	d.OnAccessBatch(batch[:3])
-	s := d.Stats()
-	if s.Batches != 2 {
-		t.Fatalf("batches = %d, want 2", s.Batches)
-	}
-	// Sizes 10 and 3 land in buckets 3 and 1.
-	if len(s.BatchSizes) != 4 || s.BatchSizes[3] != 1 || s.BatchSizes[1] != 1 {
-		t.Fatalf("batch histogram = %v, want size-10 and size-3 buckets", s.BatchSizes)
-	}
-	if s.Reads+s.Writes != 13 {
-		t.Fatalf("batched memops = %d, want 13", s.Reads+s.Writes)
-	}
-}
-
 // TestStatsSnapshotAllocFree verifies the steady-state constraint: a
-// warm detector's per-access hot path stays allocation-free with the
-// observability counters enabled (the snapshot itself may allocate for
-// the histogram slice, the counting must not).
+// warm detector's per-access hot path (the loop step plus
+// OnRead/OnWrite) stays allocation-free with the observability counters
+// enabled, and so does taking the snapshot.
 func TestStatsSnapshotAllocFree(t *testing.T) {
 	d := NewDetector(4, 64)
-	batch := make([]Access, 64)
-	for i := range batch {
-		batch[i] = Access{Loc: Addr(i + 1), T: 0, Write: i%3 == 0}
+	const locs = 64
+	run := func() {
+		for i := 0; i < locs; i++ {
+			d.W.Visit(0)
+			if i%3 == 0 {
+				d.OnWrite(0, Addr(i+1))
+			} else {
+				d.OnRead(0, Addr(i+1))
+			}
+		}
 	}
-	d.OnAccessBatch(batch) // warm: locations touched, tables sized
-	if allocs := testing.AllocsPerRun(100, func() { d.OnAccessBatch(batch) }); allocs != 0 {
-		t.Fatalf("steady-state OnAccessBatch allocates %v times per run with stats enabled", allocs)
+	run() // warm: locations touched, tables sized
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("steady-state Visit+OnRead/OnWrite allocates %v times per run with stats enabled", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = d.Stats() }); allocs != 0 {
+		t.Fatalf("Stats snapshot allocates %v times per run", allocs)
 	}
 }

@@ -1,16 +1,14 @@
 package fj
 
-// Batched event ingestion. The per-event Sink interface costs one
-// dynamic dispatch (and, through a MultiSink, several) per memory
-// operation — measurable against a detector whose per-access work is a
-// handful of nanoseconds. A BatchSink accepts whole event runs in one
-// call; EventBuffer turns any event producer (the serial runtime, the
-// goroutine frontend, a trace decoder) into a batched producer by
-// accumulating events into a fixed slab and flushing it when full.
+// Batched event delivery. A BatchSink accepts whole event runs in one
+// call; the wire client, the sharded detector's slab dispatch and the
+// baseline engines implement it. The 2D detector takes one event at a
+// time (Sink), and Deliver bridges the two.
 
-// DefaultBatchSize is the EventBuffer capacity used when a caller
-// passes a non-positive size: large enough to amortize dispatch, small
-// enough to stay resident in L1.
+// DefaultBatchSize is the run length the trace decoder and replayer
+// deliver in, and the default producer-side slab of the event queues:
+// large enough to amortize dispatch, small enough to stay resident in
+// L1.
 const DefaultBatchSize = 256
 
 // BatchSink is a Sink that can also ingest events in batches. The
@@ -23,8 +21,8 @@ type BatchSink interface {
 
 // Deliver feeds a batch to dst with a single dispatch when dst supports
 // the batched protocol, falling back to one Event call per element. It
-// is the delivery primitive shared by EventBuffer, the trace replayers,
-// and sink wrappers outside this package.
+// is the delivery primitive shared by the trace replayers and sink
+// wrappers outside this package.
 func Deliver(dst Sink, events []Event) { deliver(dst, events) }
 
 // deliver feeds a batch to dst with a single dispatch when dst supports
@@ -37,43 +35,6 @@ func deliver(dst Sink, events []Event) {
 	for i := range events {
 		dst.Event(events[i])
 	}
-}
-
-// EventBuffer accumulates events and flushes them to a destination sink
-// in batches. It is itself a Sink, so it can be spliced in front of any
-// consumer. Not safe for concurrent use; the fork-join runtimes emit
-// events serially by construction.
-type EventBuffer struct {
-	dst   Sink
-	batch []Event
-}
-
-// NewEventBuffer returns a buffer of the given batch size (DefaultBatchSize
-// when size <= 0) in front of dst.
-func NewEventBuffer(dst Sink, size int) *EventBuffer {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &EventBuffer{dst: dst, batch: make([]Event, 0, size)}
-}
-
-// Event implements Sink, flushing when the buffer fills.
-func (b *EventBuffer) Event(e Event) {
-	b.batch = append(b.batch, e)
-	if len(b.batch) == cap(b.batch) {
-		b.Flush()
-	}
-}
-
-// Flush delivers any buffered events downstream. It must be called once
-// the producer is done; the runtimes that take a BatchSize option do so
-// automatically.
-func (b *EventBuffer) Flush() {
-	if len(b.batch) == 0 {
-		return
-	}
-	deliver(b.dst, b.batch)
-	b.batch = b.batch[:0]
 }
 
 // EventBatch implements BatchSink on MultiSink, fanning a batch out with
@@ -89,17 +50,10 @@ func (t *Trace) EventBatch(events []Event) {
 	t.Events = append(t.Events, events...)
 }
 
-// ReplayBatches feeds the recorded events to s in batches of batchSize
-// (DefaultBatchSize when <= 0), using s's batched path when available.
-func (t *Trace) ReplayBatches(s Sink, batchSize int) {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	for i := 0; i < len(t.Events); i += batchSize {
-		end := i + batchSize
-		if end > len(t.Events) {
-			end = len(t.Events)
-		}
-		deliver(s, t.Events[i:end])
+// ReplayBatches feeds the recorded events to s in runs of
+// DefaultBatchSize, using s's batched path when available.
+func (t *Trace) ReplayBatches(s Sink) {
+	for i := 0; i < len(t.Events); i += DefaultBatchSize {
+		deliver(s, t.Events[i:min(i+DefaultBatchSize, len(t.Events))])
 	}
 }

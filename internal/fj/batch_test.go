@@ -3,6 +3,8 @@ package fj
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // traceEqual reports whether two traces carry identical event sequences.
@@ -18,82 +20,55 @@ func traceEqual(a, b *Trace) bool {
 	return true
 }
 
-// TestEventBufferEquivalence: any event stream pushed through an
-// EventBuffer (various batch sizes, including ones that don't divide the
-// stream length) reaches the destination unchanged and in order.
-func TestEventBufferEquivalence(t *testing.T) {
-	var direct Trace
-	if _, err := Run(figure2, &direct, Options{AutoJoin: true}); err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{1, 2, 3, 7, DefaultBatchSize, len(direct.Events) + 10} {
-		var got Trace
-		buf := NewEventBuffer(&got, size)
-		for _, e := range direct.Events {
-			buf.Event(e)
-		}
-		buf.Flush()
-		if !traceEqual(&direct, &got) {
-			t.Fatalf("size %d: buffered stream differs (%d vs %d events)",
-				size, len(got.Events), len(direct.Events))
-		}
-	}
-}
-
-// TestRunBatchSize: the runtime's BatchSize option must not change what
-// any sink observes — same trace, same detector verdict and races.
-func TestRunBatchSize(t *testing.T) {
-	var direct Trace
-	dd := NewDetectorSink(4)
-	if _, err := Run(figure2, MultiSink{&direct, dd}, Options{AutoJoin: true}); err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{1, 3, 64} {
-		var got Trace
-		bd := NewDetectorSink(4)
-		if _, err := Run(figure2, MultiSink{&got, bd}, Options{AutoJoin: true, BatchSize: size}); err != nil {
-			t.Fatal(err)
-		}
-		if !traceEqual(&direct, &got) {
-			t.Fatalf("BatchSize %d: trace differs", size)
-		}
-		if len(bd.Races()) != len(dd.Races()) {
-			t.Fatalf("BatchSize %d: %d races, want %d", size, len(bd.Races()), len(dd.Races()))
-		}
-		for i, r := range dd.Races() {
-			if bd.Races()[i] != r {
-				t.Fatalf("BatchSize %d: race %d differs: %v vs %v", size, i, bd.Races()[i], r)
+// longTrace records a program whose stream spans several
+// DefaultBatchSize runs and ends mid-run, so decoders and replayers
+// cross batch boundaries.
+func longTrace(t *testing.T) *Trace {
+	t.Helper()
+	var tr Trace
+	body := func(root *Task) {
+		h := root.Fork(func(c *Task) {
+			for i := 0; i < DefaultBatchSize; i++ {
+				c.Write(core.Addr(i))
 			}
+		})
+		for i := 0; i < DefaultBatchSize+DefaultBatchSize/2; i++ {
+			root.Read(core.Addr(i))
 		}
+		root.Join(h)
 	}
+	if _, err := Run(body, &tr, Options{AutoJoin: true}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events)%DefaultBatchSize == 0 || len(tr.Events) < 2*DefaultBatchSize {
+		t.Fatalf("long trace has %d events; want several partial runs", len(tr.Events))
+	}
+	return &tr
 }
 
 // TestDecodeTraceIntoBatched: the streaming batched decoder must deliver
 // the same events as the one-shot decoder, both into a Trace and into a
-// detector.
+// detector, across batch boundaries.
 func TestDecodeTraceIntoBatched(t *testing.T) {
-	var tr Trace
-	if _, err := Run(figure2, &tr, Options{AutoJoin: true}); err != nil {
-		t.Fatal(err)
-	}
+	tr := longTrace(t)
 	var enc bytes.Buffer
 	if err := tr.Encode(&enc); err != nil {
 		t.Fatal(err)
 	}
 
 	var got Trace
-	n, err := DecodeTraceInto(bytes.NewReader(enc.Bytes()), &got, 3)
+	n, err := DecodeTraceInto(bytes.NewReader(enc.Bytes()), &got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(tr.Events) || !traceEqual(&tr, &got) {
+	if n != len(tr.Events) || !traceEqual(tr, &got) {
 		t.Fatalf("streamed decode differs: %d events, want %d", n, len(tr.Events))
 	}
 
 	want := NewDetectorSink(4)
 	tr.Replay(want)
 	d := NewDetectorSink(4)
-	if _, err := DecodeTraceInto(bytes.NewReader(enc.Bytes()), d, 5); err != nil {
+	if _, err := DecodeTraceInto(bytes.NewReader(enc.Bytes()), d); err != nil {
 		t.Fatal(err)
 	}
 	if d.Racy() != want.Racy() || len(d.Races()) != len(want.Races()) {
@@ -119,5 +94,23 @@ func TestMultiSinkEventBatch(t *testing.T) {
 	}
 	if plain.D.W.Len() != want.D.W.Len() {
 		t.Fatalf("plain destination diverged: %d vs %d vertices", plain.D.W.Len(), want.D.W.Len())
+	}
+}
+
+// TestReplayBatchesEquivalence: replaying in DefaultBatchSize runs
+// reaches a batch-aware sink unchanged and a per-event sink with the
+// same verdict as a one-by-one replay.
+func TestReplayBatchesEquivalence(t *testing.T) {
+	tr := longTrace(t)
+	var got Trace
+	tr.ReplayBatches(&got)
+	if !traceEqual(tr, &got) {
+		t.Fatalf("batched replay differs (%d vs %d events)", len(got.Events), len(tr.Events))
+	}
+	want, d := NewDetectorSink(4), NewDetectorSink(4)
+	tr.Replay(want)
+	tr.ReplayBatches(d)
+	if d.Stats() != want.Stats() || len(d.Races()) != len(want.Races()) {
+		t.Fatalf("batched replay verdict differs: %d races, want %d", len(d.Races()), len(want.Races()))
 	}
 }

@@ -63,7 +63,7 @@ func (t *Trace) Encode(w io.Writer) error {
 // DecodeTrace reads a trace previously written by Encode.
 func DecodeTrace(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
-	if _, err := DecodeTraceInto(r, tr, 0); err != nil {
+	if _, err := DecodeTraceInto(r, tr); err != nil {
 		return nil, err
 	}
 	return tr, nil
@@ -74,14 +74,11 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 const unknownLenPresize = 4096
 
 // DecodeTraceInto streams a trace written by Encode directly into sink
-// in batches of batchSize events (DefaultBatchSize when <= 0), using
-// sink's BatchSink path when implemented. Unlike DecodeTrace it never
-// materializes the whole trace, so arbitrarily long recordings replay
-// in constant memory. It returns the number of events delivered.
-func DecodeTraceInto(r io.Reader, sink Sink, batchSize int) (int, error) {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
+// in runs of DefaultBatchSize events, using sink's BatchSink path when
+// implemented. Unlike DecodeTrace it never materializes the whole
+// trace, so arbitrarily long recordings replay in constant memory. It
+// returns the number of events delivered.
+func DecodeTraceInto(r io.Reader, sink Sink) (int, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -117,13 +114,7 @@ func DecodeTraceInto(r io.Reader, sink Sink, batchSize int) (int, error) {
 			tr.Events = grown
 		}
 	}
-	if int(count) < batchSize {
-		batchSize = int(count)
-	}
-	if batchSize == 0 {
-		batchSize = 1
-	}
-	batch := make([]Event, 0, batchSize)
+	batch := make([]Event, 0, max(1, min(int(count), DefaultBatchSize)))
 	delivered := 0
 	for i := uint64(0); i < count; i++ {
 		e, err := decodeEvent(br, i)

@@ -119,12 +119,6 @@ type Options struct {
 	// tasks unjoined otherwise end with dangling (yet legal) structure.
 	AutoJoin bool
 
-	// BatchSize, when positive, buffers the event stream through an
-	// EventBuffer of that capacity so sink receives batches (via
-	// BatchSink when implemented). The buffer is flushed before Run
-	// returns, including on structure violations.
-	BatchSize int
-
 	// Ctx, when non-nil, cancels the run: once the context is done the
 	// next structural operation (fork or join) aborts with ctx.Err().
 	// Run still returns the task count, so callers can report on the
@@ -136,11 +130,6 @@ type Options struct {
 // to sink (which may be nil). It returns the number of tasks created and
 // the first structure violation, if any. User panics propagate.
 func Run(root func(*Task), sink Sink, opt Options) (tasks int, err error) {
-	if opt.BatchSize > 0 && sink != nil {
-		buf := NewEventBuffer(sink, opt.BatchSize)
-		sink = buf
-		defer buf.Flush() // runs after the recover below (LIFO)
-	}
 	rt := &Runtime{line: NewLine(sink), ctx: opt.Ctx}
 	main := &Task{id: 0, rt: rt}
 	defer func() {

@@ -45,8 +45,9 @@ func (s *ShardedDetectorSink) Event(e Event) {
 	}
 }
 
-// EventBatch implements BatchSink, mirroring DetectorSink.EventBatch:
-// maximal runs of memory accesses go through OnAccessBatch.
+// EventBatch implements BatchSink: control events are applied one by
+// one, and maximal runs of memory accesses go to OnAccessBatch in a
+// reused scratch slab.
 func (s *ShardedDetectorSink) EventBatch(events []Event) {
 	for i := 0; i < len(events); {
 		e := events[i]

@@ -14,8 +14,6 @@ import "repro/internal/core"
 //	halt(x)     → stop-arc (x, ×)
 type DetectorSink struct {
 	D *core.Detector
-
-	accesses []core.Access // scratch batch reused by EventBatch
 }
 
 // NewDetectorSink returns a sink wrapping a fresh detector sized for
@@ -61,36 +59,6 @@ func (s *DetectorSink) Event(e Event) {
 	}
 }
 
-// EventBatch implements BatchSink: control events are applied one by
-// one, but maximal runs of memory accesses are handed to the detector's
-// OnAccessBatch in a reused scratch slab, replacing per-event interface
-// dispatch and switch overhead with one call per run.
-func (s *DetectorSink) EventBatch(events []Event) {
-	for i := 0; i < len(events); {
-		e := events[i]
-		if e.Kind != EvRead && e.Kind != EvWrite {
-			s.Event(e)
-			i++
-			continue
-		}
-		acc := s.accesses[:0]
-		for i < len(events) {
-			e = events[i]
-			if e.Kind != EvRead && e.Kind != EvWrite {
-				break
-			}
-			acc = append(acc, core.Access{
-				Loc:   e.Loc,
-				T:     int32(e.T),
-				Write: e.Kind == EvWrite,
-			})
-			i++
-		}
-		s.accesses = acc
-		s.D.OnAccessBatch(acc)
-	}
-}
-
 // Races exposes the detector's retained reports.
 func (s *DetectorSink) Races() []core.Race { return s.D.Races() }
 
@@ -98,7 +66,7 @@ func (s *DetectorSink) Races() []core.Race { return s.D.Races() }
 func (s *DetectorSink) Racy() bool { return s.D.Racy() }
 
 // Stats exposes the detector's operation-count snapshot (memops,
-// suprema/union-find counts, storage probes, batch histogram).
+// suprema/union-find counts, storage probes).
 func (s *DetectorSink) Stats() core.Stats { return s.D.Stats() }
 
 // CheckAccounting verifies the Theorem 3/5 operation accounting on the

@@ -46,15 +46,23 @@ func TestDecodeTruncatedIsSentinel(t *testing.T) {
 // TestDecodeTraceIntoTruncated: the streaming decoder reports the same
 // sentinel and still delivers the complete prefix batches it decoded.
 func TestDecodeTraceIntoTruncated(t *testing.T) {
-	tr, data := encodedFigure2(t)
+	tr := longTrace(t)
+	var enc bytes.Buffer
+	if err := tr.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	data := enc.Bytes()
 	cut := len(data) - 2
 	var got Trace
-	n, err := DecodeTraceInto(bytes.NewReader(data[:cut]), &got, 2)
+	n, err := DecodeTraceInto(bytes.NewReader(data[:cut]), &got)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("error %v does not wrap ErrTruncated", err)
 	}
 	if n != len(got.Events) {
 		t.Fatalf("delivered count %d != recorded events %d", n, len(got.Events))
+	}
+	if n == 0 || n%DefaultBatchSize != 0 {
+		t.Fatalf("delivered %d events; want the complete prefix batches", n)
 	}
 	if n >= len(tr.Events) {
 		t.Fatalf("delivered %d events from a truncated stream of %d", n, len(tr.Events))

@@ -5,7 +5,7 @@
 // sequenced buffer, and a bounded merge stage (see pipeline.go)
 // linearizes the per-task streams into a delayed non-separating
 // traversal — the order Theorem 4 proves the online walker tolerates —
-// before streaming batches into the single-consumer detector. The
+// before streaming it into the single-consumer detector. The
 // emitted event stream is byte-for-byte the serial fork-first stream,
 // so every detector and baseline consumes it unchanged and verdicts are
 // bit-identical to serial replay.
@@ -126,17 +126,6 @@ func Run(root func(*Task), sink fj.Sink) (int, error) {
 	return res.Tasks, err
 }
 
-// RunBuffered is Run with the merged event stream buffered through an
-// fj.EventBuffer of the given batch size (fj.DefaultBatchSize when
-// <= 0), so sink receives batches.
-func RunBuffered(root func(*Task), sink fj.Sink, batchSize int) (int, error) {
-	if batchSize <= 0 {
-		batchSize = fj.DefaultBatchSize
-	}
-	res, err := RunPipeline(root, sink, Options{BatchSize: batchSize})
-	return res.Tasks, err
-}
-
 // RunSerial executes root on the serialized fork-first schedule: each
 // Go blocks until the child goroutine halts, so exactly one task runs
 // at a time and events reach sink in the serial order directly. This is
@@ -251,11 +240,6 @@ func (t *Task) writeSerial(loc core.Addr) {
 }
 
 func runSerial(root func(*Task), sink fj.Sink, opt Options) (Result, error) {
-	var buf *fj.EventBuffer
-	if opt.BatchSize > 0 && sink != nil {
-		buf = fj.NewEventBuffer(sink, opt.BatchSize)
-		sink = buf
-	}
 	rt := &serialRT{line: fj.NewLine(sink), ctx: opt.Context}
 	if opt.Context != nil {
 		if stop := watchContext(opt.Context, rt); stop != nil {
@@ -270,9 +254,6 @@ func runSerial(root func(*Task), sink fj.Sink, opt Options) (Result, error) {
 		if err := rt.line.Halt(0); err != nil {
 			rt.fail(err)
 		}
-	}
-	if buf != nil {
-		buf.Flush()
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -245,39 +245,3 @@ func TestGoroutineTraceParityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestRunBufferedParity: RunBuffered must produce the identical trace
-// and detector verdict as Run — batching only changes delivery shape.
-func TestRunBufferedParity(t *testing.T) {
-	prog := func(t *Task) {
-		shared := core.Addr(0x10)
-		a := t.Go(func(a *Task) { a.Read(shared) })
-		t.Read(shared)
-		c := t.Go(func(c *Task) { c.Join(a) })
-		t.Write(shared)
-		t.Join(c)
-	}
-	var direct fj.Trace
-	dd := fj.NewDetectorSink(4)
-	if _, err := Run(prog, fj.MultiSink{&direct, dd}); err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{1, 2, 64} {
-		var got fj.Trace
-		bd := fj.NewDetectorSink(4)
-		if _, err := RunBuffered(prog, fj.MultiSink{&got, bd}, size); err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Events) != len(direct.Events) {
-			t.Fatalf("size %d: %d events, want %d", size, len(got.Events), len(direct.Events))
-		}
-		for i := range direct.Events {
-			if got.Events[i] != direct.Events[i] {
-				t.Fatalf("size %d: event %d differs", size, i)
-			}
-		}
-		if bd.Racy() != dd.Racy() || len(bd.Races()) != len(dd.Races()) {
-			t.Fatalf("size %d: verdict diverged", size)
-		}
-	}
-}

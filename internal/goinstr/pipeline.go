@@ -79,10 +79,6 @@ type Options struct {
 	// regardless.
 	SlabSize int
 
-	// BatchSize, when positive, buffers the merged stream through an
-	// fj.EventBuffer of that capacity so sink receives batches.
-	BatchSize int
-
 	// Serial selects the serialized fork-first schedule instead of the
 	// pipeline: each Go blocks until the child halts. The baseline the
 	// pipeline is measured against.
@@ -363,11 +359,6 @@ func RunPipeline(root func(*Task), sink fj.Sink, opt Options) (Result, error) {
 	if opt.Serial {
 		return runSerial(root, sink, opt)
 	}
-	var buf *fj.EventBuffer
-	if opt.BatchSize > 0 && sink != nil {
-		buf = fj.NewEventBuffer(sink, opt.BatchSize)
-		sink = buf
-	}
 	pl := &pipeline{
 		queueCap:     opt.QueueCapacity,
 		slabSize:     opt.SlabSize,
@@ -426,9 +417,6 @@ func RunPipeline(root func(*Task), sink fj.Sink, opt Options) (Result, error) {
 		// as with any cancelled goroutine in Go.
 	}
 	<-pl.consumerDone
-	if buf != nil {
-		buf.Flush()
-	}
 	res := Result{Tasks: pl.tasks, Stats: pl.ingestStats()}
 	pl.mu.Lock()
 	err := pl.err

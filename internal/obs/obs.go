@@ -68,11 +68,6 @@ type Stats struct {
 	Locations        uint64  `json:"locations,omitempty"`
 	BytesPerLocation float64 `json:"bytes_per_location,omitempty"`
 
-	// Batched ingestion: histogram of OnAccessBatch run lengths in
-	// power-of-two buckets (see Histogram.Snapshot).
-	Batches    uint64   `json:"batches,omitempty"`
-	BatchSizes []uint64 `json:"batch_size_hist,omitempty"`
-
 	// Concurrent ingestion pipeline (goinstr): backpressure accounting
 	// for the bounded per-producer queues feeding the merge stage.
 	Producers      uint64 `json:"producers,omitempty"`       // event queues created (tasks that produced)
@@ -150,8 +145,8 @@ func (s Stats) AmortizedSteps() float64 {
 	return float64(s.Finds+s.Unions+s.PathSteps) / float64(ops)
 }
 
-// Add accumulates other into s field by field (histogram buckets
-// included), for aggregating shards of a fleet.
+// Add accumulates other into s field by field, for aggregating shards
+// of a fleet.
 func (s *Stats) Add(other Stats) {
 	s.Reads += other.Reads
 	s.Writes += other.Writes
@@ -175,7 +170,6 @@ func (s *Stats) Add(other Stats) {
 	s.OrderQueries += other.OrderQueries
 	s.Races += other.Races
 	s.Locations += other.Locations
-	s.Batches += other.Batches
 	s.Producers += other.Producers
 	s.EventsBuffered += other.EventsBuffered
 	if other.MaxQueueDepth > s.MaxQueueDepth {
@@ -202,12 +196,6 @@ func (s *Stats) Add(other Stats) {
 	s.WireBlocks += other.WireBlocks
 	s.WireBytesBlocks += other.WireBytesBlocks
 	s.WireBytesRaw += other.WireBytesRaw
-	for len(s.BatchSizes) < len(other.BatchSizes) {
-		s.BatchSizes = append(s.BatchSizes, 0)
-	}
-	for i, v := range other.BatchSizes {
-		s.BatchSizes[i] += v
-	}
 }
 
 // String renders the non-zero counters compactly, in declaration order.
@@ -244,7 +232,6 @@ func (s Stats) String() string {
 	put("order-queries", s.OrderQueries)
 	put("races", s.Races)
 	put("locations", s.Locations)
-	put("batches", s.Batches)
 	put("producers", s.Producers)
 	put("events-buffered", s.EventsBuffered)
 	put("max-queue-depth", s.MaxQueueDepth)

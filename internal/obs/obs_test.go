@@ -6,42 +6,6 @@ import (
 	"testing"
 )
 
-func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
-	for _, n := range []int{0, 1, 2, 3, 4, 7, 8, 1024, 1 << 30} {
-		h.Observe(n)
-	}
-	if h.Count() != 9 {
-		t.Fatalf("Count = %d, want 9", h.Count())
-	}
-	snap := h.Snapshot()
-	if len(snap) != 31 {
-		t.Fatalf("Snapshot length = %d, want 31 (last bucket 30)", len(snap))
-	}
-	want := map[int]uint64{0: 2, 1: 2, 2: 2, 3: 1, 10: 1, 30: 1}
-	for i, c := range snap {
-		if c != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, c, want[i])
-		}
-	}
-	if BucketMin(0) != 0 || BucketMin(1) != 2 || BucketMin(10) != 1024 {
-		t.Errorf("BucketMin boundaries wrong: %d %d %d", BucketMin(0), BucketMin(1), BucketMin(10))
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Snapshot() != nil {
-		t.Error("Reset did not clear the histogram")
-	}
-}
-
-func TestHistogramOverflowBucket(t *testing.T) {
-	var h Histogram
-	h.Observe(1 << 40) // beyond the covered range: clamps to the last bucket
-	snap := h.Snapshot()
-	if len(snap) != histBuckets || snap[histBuckets-1] != 1 {
-		t.Fatalf("oversized observation not clamped to last bucket: %v", snap)
-	}
-}
-
 func TestCheckAccounting(t *testing.T) {
 	good := Stats{SupQueries: 100, Finds: 100, Unions: 9, PathSteps: 40, Reads: 60, Writes: 40}
 	if err := CheckAccounting(good, 10); err != nil {
@@ -81,14 +45,11 @@ func TestStatsDerived(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Reads: 1, Finds: 2, BatchSizes: []uint64{1}}
-	b := Stats{Reads: 2, Unions: 3, Races: 1, BatchSizes: []uint64{4, 5}}
+	a := Stats{Reads: 1, Finds: 2}
+	b := Stats{Reads: 2, Unions: 3, Races: 1}
 	a.Add(b)
 	if a.Reads != 3 || a.Finds != 2 || a.Unions != 3 || a.Races != 1 {
 		t.Errorf("Add merged wrong: %+v", a)
-	}
-	if len(a.BatchSizes) != 2 || a.BatchSizes[0] != 5 || a.BatchSizes[1] != 5 {
-		t.Errorf("Add histogram merge wrong: %v", a.BatchSizes)
 	}
 }
 

@@ -364,7 +364,7 @@ func TestResumeSupersedesStaleConnection(t *testing.T) {
 		if err := wire.WriteMagic(conn); err != nil {
 			t.Fatal(err)
 		}
-		if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{Token: token})); err != nil {
+		if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHello(wire.Hello{Token: token})); err != nil {
 			t.Fatal(err)
 		}
 		ft, payload, err := wire.ReadFrame(conn, nil)
@@ -433,9 +433,9 @@ func TestResumeSupersedesStaleConnection(t *testing.T) {
 func TestHandshakeFailureModes(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
 	magicFor := func(version byte) []byte { return []byte{'R', 'D', 'S', version} }
-	hello := wire.AppendFrame(nil, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{}))
+	hello := wire.AppendFrame(nil, wire.FrameHello, wire.EncodeHello(wire.Hello{}))
 	truncatedHello := wire.AppendFrame(nil, wire.FrameHello,
-		wire.EncodeHelloV3(wire.Hello{Engine: "fasttrack", BatchSize: 64})[:1])
+		wire.EncodeHello(wire.Hello{Engine: "fasttrack"})[:1])
 
 	cases := []struct {
 		name string
@@ -532,7 +532,7 @@ func TestMidStreamProtocolErrors(t *testing.T) {
 			if err := wire.WriteMagic(conn); err != nil {
 				t.Fatal(err)
 			}
-			if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{})); err != nil {
+			if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHello(wire.Hello{})); err != nil {
 				t.Fatal(err)
 			}
 			if ft, payload, err := wire.ReadFrame(conn, nil); err != nil || ft != wire.FrameWelcome {

@@ -1,6 +1,9 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -120,7 +123,7 @@ func TestNegotiationV3RefusalOnWire(t *testing.T) {
 	if _, err := conn.Write([]byte{'R', 'D', 'S', wire.Version + 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{})); err != nil {
+	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHello(wire.Hello{})); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := wire.ReadFrame(conn, nil)
@@ -136,6 +139,83 @@ func TestNegotiationV3RefusalOnWire(t *testing.T) {
 	}
 	if !strings.Contains(text, wire.ErrVersion.Error()) {
 		t.Errorf("refusal %q lacks the ErrVersion text %q", text, wire.ErrVersion)
+	}
+}
+
+// TestLegacyBatchSizeHello pins wire compatibility with clients that
+// still fill the Hello's retired batch-size slot (older clients built
+// with a batch-size option sent e.g. 64 there): the session opens, the
+// server delivers events one at a time regardless, and the Report
+// frame's body is byte-identical to json.Marshal of a local per-event
+// replay of the same events.
+func TestLegacyBatchSizeHello(t *testing.T) {
+	tr := negotiationTrace(t)
+	_, addr := startServer(t, server.Config{})
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+
+	// engine "2d", batch-size slot 64, token 0, caps 0, route key 0,
+	// empty auth credential.
+	hello := binary.AppendUvarint(nil, 2)
+	hello = append(hello, "2d"...)
+	for _, v := range []uint64{64, 0, 0, 0, 0} {
+		hello = binary.AppendUvarint(hello, v)
+	}
+	if _, err := conn.Write(wire.Magic[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, wire.FrameHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, err := wire.ReadFrame(conn, nil)
+	if err != nil || ft != wire.FrameWelcome {
+		t.Fatalf("handshake: %v frame %q (%v), want a Welcome", ft, payload, err)
+	}
+	if _, err := wire.DecodeWelcomeV3(payload); err != nil {
+		t.Fatalf("welcome: %v", err)
+	}
+
+	var enc wire.BlockEncoder
+	seq := uint64(0)
+	for i := 0; i < len(tr.Events); i += client.DefaultFrameEvents {
+		seq++
+		block := enc.AppendBlock(nil, seq, tr.Events[i:min(i+client.DefaultFrameEvents, len(tr.Events))])
+		if err := wire.WriteFrame(conn, wire.FrameEventsBlock, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wire.WriteFrame(conn, wire.FrameFinish, nil); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		ft, payload, err = wire.ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatalf("awaiting the report: %v", err)
+		}
+		if ft == wire.FrameReport {
+			break
+		}
+		if ft != wire.FrameAck {
+			t.Fatalf("got %v frame %q, want acks then a Report", ft, payload)
+		}
+	}
+	flags, body, err := wire.DecodeReport(payload)
+	if err != nil || flags != 0 {
+		t.Fatalf("report frame: flags=%d err=%v", flags, err)
+	}
+
+	d := race2d.NewEngineSink(race2d.Engine2D)
+	tr.Replay(d)
+	want, err := json.Marshal(d.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("remote report differs from the local per-event replay\nremote: %s\nlocal:  %s", body, want)
 	}
 }
 

@@ -655,7 +655,6 @@ func (s *Server) admit(conn net.Conn, hello wire.Hello, tenant string) (*session
 		id:       s.nextID,
 		token:    s.tokenBase ^ (s.nextID * 0x9E3779B97F4A7C15),
 		caps:     hello.Caps & granted,
-		hello:    hello,
 		tenant:   tenant,
 		srv:      s,
 		state:    stateRunning,
@@ -741,7 +740,7 @@ func (s *Server) handshake(conn net.Conn) (wire.Hello, []byte, error) {
 	if ft != wire.FrameHello {
 		return wire.Hello{}, nil, fmt.Errorf("raced: expected hello frame, got %v", ft)
 	}
-	hello, err := wire.DecodeHelloV3(payload)
+	hello, err := wire.DecodeHello(payload)
 	if err != nil {
 		return wire.Hello{}, nil, fmt.Errorf("raced: malformed hello: %w", err)
 	}
@@ -817,8 +816,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	sess.startConsumer(eng)
-	s.logf("session %d: open (engine=%s batch=%d) from %v",
-		sess.id, eng, hello.BatchSize, conn.RemoteAddr())
+	s.logf("session %d: open (engine=%s) from %v", sess.id, eng, conn.RemoteAddr())
 	sess.serve(conn)
 }
 
@@ -1267,7 +1265,6 @@ type session struct {
 	id     uint64
 	token  uint64
 	caps   uint64 // granted capabilities
-	hello  wire.Hello
 	tenant string // authenticated tenant ("" on an open server)
 	srv    *Server
 
@@ -1300,27 +1297,17 @@ func (sess *session) startConsumer(eng race2d.Engine) {
 	sess.detector = race2d.NewEngineSink(eng)
 	go func() {
 		defer close(sess.drained)
-		var sink race2d.Sink = sess.detector
-		var buf *race2d.EventBuffer
-		if sess.hello.BatchSize > 0 {
-			buf = race2d.NewEventBuffer(sess.detector, sess.hello.BatchSize)
-			sink = buf
-		}
 		for {
 			slab, ok := sess.queue.Pop()
 			if !ok {
 				break
 			}
-			// Per-event delivery: with BatchSize == 0 the engine sees the
-			// exact call sequence of an unbuffered local run, so its Stats
-			// (batch histogram included) match byte for byte.
+			// Per-event delivery: the engine sees the exact call
+			// sequence of a local run, so its Stats match byte for byte.
 			for _, e := range slab {
-				sink.Event(e)
+				sess.detector.Event(e)
 			}
 			sess.queue.Recycle(slab)
-		}
-		if buf != nil {
-			buf.Flush()
 		}
 	}()
 }

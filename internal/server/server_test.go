@@ -207,7 +207,7 @@ func TestShutdownClosesLateAcceptedConn(t *testing.T) {
 	if err := wire.WriteMagic(conn); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{Engine: "2d"})); err != nil {
+	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHello(wire.Hello{Engine: "2d"})); err != nil {
 		t.Fatal(err)
 	}
 	<-late.accepted

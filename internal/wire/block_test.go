@@ -319,15 +319,17 @@ func TestBlockDecodeIntoReusesSlab(t *testing.T) {
 }
 
 func TestHelloWelcomeV3RoundTrip(t *testing.T) {
-	h := Hello{Engine: "2d", BatchSize: 128, Token: 0xfeed, Caps: CapTenant}
-	got, err := DecodeHelloV3(EncodeHelloV3(h))
-	if err != nil || got != h {
-		t.Fatalf("hello v3 round trip: %+v -> %+v (%v)", h, got, err)
+	h := Hello{Engine: "2d", Token: 0xfeed, Caps: CapTenant}
+	for _, payload := range [][]byte{EncodeHello(h), helloWithBatchSlot(h, 128)} {
+		got, err := DecodeHello(payload)
+		if err != nil || got != h {
+			t.Fatalf("hello v3 round trip: %+v -> %+v (%v)", h, got, err)
+		}
 	}
 	// The trailing auth credential rides after RouteKey and round-trips;
 	// a hello without it decodes with Auth empty (older senders).
 	ha := Hello{Engine: "2d", Caps: CapTenant, RouteKey: 9, Auth: "acme:s3cret"}
-	gotA, err := DecodeHelloV3(EncodeHelloV3(ha))
+	gotA, err := DecodeHello(EncodeHello(ha))
 	if err != nil || gotA != ha {
 		t.Fatalf("hello v3 auth round trip: %+v -> %+v (%v)", ha, gotA, err)
 	}
@@ -335,12 +337,12 @@ func TestHelloWelcomeV3RoundTrip(t *testing.T) {
 	// payload (ends after the caps) still decode: both trailing fields
 	// are optional. Route key 9 and an empty credential are one byte
 	// each on the wire.
-	full := EncodeHelloV3(Hello{Engine: "2d", Caps: CapTenant, RouteKey: 9})
-	gotOld, err := DecodeHelloV3(full[:len(full)-1])
+	full := EncodeHello(Hello{Engine: "2d", Caps: CapTenant, RouteKey: 9})
+	gotOld, err := DecodeHello(full[:len(full)-1])
 	if err != nil || gotOld.Auth != "" || gotOld.RouteKey != 9 {
 		t.Fatalf("pre-auth hello: %+v (%v)", gotOld, err)
 	}
-	gotOlder, err := DecodeHelloV3(full[:len(full)-2])
+	gotOlder, err := DecodeHello(full[:len(full)-2])
 	if err != nil || gotOlder.RouteKey != 0 || gotOlder.Caps != CapTenant {
 		t.Fatalf("pre-route-key hello: %+v (%v)", gotOlder, err)
 	}

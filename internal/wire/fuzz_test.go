@@ -18,20 +18,20 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, FrameFinish, nil))
 	f.Add(AppendFrame(nil, FrameEventsBlock, sampleBlock(1)))
-	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64})))
+	f.Add(AppendFrame(nil, FrameHello, helloWithBatchSlot(Hello{Engine: "2d"}, 64)))
 	f.Add([]byte{byte(FrameEventsBlock), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
 	// Resume vocabulary: sequenced blocks, resume handshake, acks,
 	// heartbeats.
 	f.Add(AppendFrame(nil, FrameEventsBlock, sampleBlock(3)))
-	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{
-		Engine: "2d", BatchSize: 64, Token: 0xabcdef,
+	f.Add(AppendFrame(nil, FrameHello, helloWithBatchSlot(Hello{
+		Engine: "2d", Token: 0xabcdef,
 		Caps: CapTenant, RouteKey: 1 << 33, Auth: "acme:s3cret",
-	})))
+	}, 64)))
 	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcomeV3(Welcome{Session: 9, Token: 1 << 50, NextSeq: 17})))
 	f.Add(AppendFrame(nil, FrameAck, EncodeAck(1<<20)))
 	f.Add(AppendFrame(nil, FrameHeartbeat, nil))
 	// Capability handshakes and a hostile block.
-	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64, Token: 7, Caps: CapTenant})))
+	f.Add(AppendFrame(nil, FrameHello, helloWithBatchSlot(Hello{Engine: "2d", Token: 7, Caps: CapTenant}, 64)))
 	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcomeV3(Welcome{Session: 2, Token: 0xbeef, NextSeq: 1, Caps: CapTenant})))
 	f.Add(AppendFrame(nil, FrameEventsBlock, hostileBlock))
 
@@ -62,7 +62,7 @@ func FuzzReadFrame(f *testing.F) {
 // panic, and that anything they accept round-trips stably through the
 // encoders.
 func FuzzResume(f *testing.F) {
-	f.Add(EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64, Token: 42, Caps: CapTenant, RouteKey: 5, Auth: "t:k"}))
+	f.Add(helloWithBatchSlot(Hello{Engine: "2d", Token: 42, Caps: CapTenant, RouteKey: 5, Auth: "t:k"}, 64))
 	f.Add(EncodeWelcomeV3(Welcome{Session: 1, Token: 0xdead, NextSeq: 2, Caps: CapTenant}))
 	f.Add(EncodeAck(7))
 	f.Add(sampleBlock(5))
@@ -131,8 +131,8 @@ func FuzzReplFrames(f *testing.F) {
 // re-encode to one that decodes to the same Hello.
 func checkHelloRoundTrip(t *testing.T, payload []byte) {
 	t.Helper()
-	if h, err := DecodeHelloV3(payload); err == nil {
-		if got, err := DecodeHelloV3(EncodeHelloV3(h)); err != nil || got != h {
+	if h, err := DecodeHello(payload); err == nil {
+		if got, err := DecodeHello(EncodeHello(h)); err != nil || got != h {
 			t.Fatalf("hello round trip: %+v -> %+v (%v)", h, got, err)
 		}
 	}

@@ -134,7 +134,7 @@ var Magic = [4]byte{'R', 'D', 'S', Version}
 type FrameType uint8
 
 const (
-	// FrameHello is the client's session request (EncodeHelloV3
+	// FrameHello is the client's session request (EncodeHello
 	// payload).
 	FrameHello FrameType = 1
 	// FrameWelcome is the server's session grant (EncodeWelcomeV3
@@ -357,10 +357,6 @@ type Hello struct {
 	// Engine names the detector engine the session should run
 	// (race2d.ParseEngine vocabulary; empty selects the default).
 	Engine string
-	// BatchSize asks the server to deliver events to the engine in
-	// batches of this size. Zero delivers per event — the setting that
-	// keeps remote Stats byte-identical to an unbuffered local run.
-	BatchSize int
 	// Token resumes a suspended session: zero requests a fresh
 	// session, a non-zero value re-attaches to the session whose Welcome
 	// carried it.
@@ -385,13 +381,13 @@ type Hello struct {
 	Auth string
 }
 
-// EncodeHelloV3 renders h as a frame payload: engine name, batch size,
-// resume token, offered capability bitmask, routing key and tenant
-// credential.
-func EncodeHelloV3(h Hello) []byte {
+// EncodeHello renders h as a frame payload: engine name, a retired
+// batch-size slot (always 0), resume token, offered capability bitmask,
+// routing key and tenant credential.
+func EncodeHello(h Hello) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(h.Engine)))
 	buf = append(buf, h.Engine...)
-	buf = binary.AppendUvarint(buf, uint64(h.BatchSize))
+	buf = binary.AppendUvarint(buf, 0) // retired batch-size slot
 	buf = binary.AppendUvarint(buf, h.Token)
 	buf = binary.AppendUvarint(buf, h.Caps)
 	buf = binary.AppendUvarint(buf, h.RouteKey)
@@ -399,23 +395,24 @@ func EncodeHelloV3(h Hello) []byte {
 	return append(buf, h.Auth...)
 }
 
-// DecodeHelloV3 parses an EncodeHelloV3 payload. The trailing routing
-// key and auth credential are each optional: a hello from an older
-// sender decodes with RouteKey zero and Auth empty, and bytes past the
-// fields this version knows are ignored so future trailing fields keep
-// interoperating.
-func DecodeHelloV3(payload []byte) (Hello, error) {
+// DecodeHello parses an EncodeHello payload. The retired batch-size
+// slot is parsed and range-checked but its value ignored: servers
+// deliver events one at a time whatever an older client asked for. The
+// trailing routing key and auth credential are each optional: a hello
+// from an older sender decodes with RouteKey zero and Auth empty, and
+// bytes past the fields this version knows are ignored so future
+// trailing fields keep interoperating.
+func DecodeHello(payload []byte) (Hello, error) {
 	n, k := binary.Uvarint(payload)
 	if k <= 0 || n > 1<<10 || uint64(len(payload)-k) < n {
 		return Hello{}, fmt.Errorf("wire: hello: malformed engine name: %w", ErrTruncated)
 	}
 	h := Hello{Engine: string(payload[k : k+int(n)])}
 	rest := payload[k+int(n):]
-	b, k := binary.Uvarint(rest)
+	b, k := binary.Uvarint(rest) // retired batch-size slot
 	if k <= 0 || b > 1<<20 {
 		return Hello{}, fmt.Errorf("wire: hello: malformed batch size: %w", ErrTruncated)
 	}
-	h.BatchSize = int(b)
 	rest = rest[k:]
 	if h.Token, k = binary.Uvarint(rest); k <= 0 {
 		return Hello{}, fmt.Errorf("wire: hello: malformed resume token: %w", ErrTruncated)

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/fj"
@@ -163,28 +165,57 @@ func TestHelloRoundTrip(t *testing.T) {
 	for _, h := range []Hello{
 		{},
 		{Engine: "2d"},
-		{Engine: "fasttrack", BatchSize: 256, Token: 1<<63 + 5},
-		{Engine: "vc", BatchSize: 32, Token: 99, Caps: CapTenant, RouteKey: 1 << 40, Auth: "acme:k"},
+		{Engine: "fasttrack", Token: 1<<63 + 5},
+		{Engine: "vc", Token: 99, Caps: CapTenant, RouteKey: 1 << 40, Auth: "acme:k"},
 	} {
-		got, err := DecodeHelloV3(EncodeHelloV3(h))
+		got, err := DecodeHello(EncodeHello(h))
 		if err != nil {
 			t.Fatalf("%+v: %v", h, err)
 		}
 		if got != h {
 			t.Fatalf("round trip %+v -> %+v", h, got)
 		}
+		// An older client's non-zero batch-size slot decodes to the same
+		// Hello: the slot is parsed and ignored.
+		for _, batch := range []uint64{256, 32, 1 << 20} {
+			got, err := DecodeHello(helloWithBatchSlot(h, batch))
+			if err != nil || got != h {
+				t.Fatalf("batch slot %d: %+v -> %+v (%v)", batch, h, got, err)
+			}
+		}
 	}
-	if _, err := DecodeHelloV3([]byte{0xFF}); err == nil {
+	if _, err := DecodeHello([]byte{0xFF}); err == nil {
 		t.Fatal("malformed hello accepted")
+	}
+	// The retired batch-size slot: the encoder always writes 0 there
+	// (the bytes of an older client asking for per-event delivery), and
+	// the decoder still refuses a slot beyond 1<<20 as malformed.
+	h := Hello{Engine: "2d", Token: 7, Caps: CapTenant, RouteKey: 3, Auth: "t:k"}
+	if got, want := EncodeHello(h), helloWithBatchSlot(h, 0); !bytes.Equal(got, want) {
+		t.Fatalf("EncodeHello = % x, want % x (batch slot 0)", got, want)
+	}
+	if _, err := DecodeHello(helloWithBatchSlot(h, 1<<20+1)); !errors.Is(err, ErrTruncated) ||
+		!strings.Contains(err.Error(), "batch size") {
+		t.Fatalf("oversized batch slot: %v, want a malformed batch size", err)
 	}
 	// Token and caps are mandatory: a payload cut after the batch size
 	// is truncated, not a fresh session with no capabilities.
-	full := EncodeHelloV3(Hello{Engine: "2d", BatchSize: 8, Token: 3})
+	full := helloWithBatchSlot(Hello{Engine: "2d", Token: 3}, 8)
 	for _, n := range []int{4, 5} {
-		if _, err := DecodeHelloV3(full[:n]); !errors.Is(err, ErrTruncated) {
+		if _, err := DecodeHello(full[:n]); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("hello cut at %d bytes: %v, want ErrTruncated", n, err)
 		}
 	}
+}
+
+// helloWithBatchSlot is EncodeHello(h) with batch in the retired
+// batch-size slot: the payload an older client sent when it asked the
+// server for batched delivery.
+func helloWithBatchSlot(h Hello, batch uint64) []byte {
+	enc := EncodeHello(h)
+	k := len(binary.AppendUvarint(nil, uint64(len(h.Engine)))) + len(h.Engine)
+	out := binary.AppendUvarint(append([]byte(nil), enc[:k]...), batch)
+	return append(out, enc[k+1:]...)
 }
 
 func TestWelcomeReportRoundTrip(t *testing.T) {

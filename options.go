@@ -12,8 +12,8 @@ import (
 // DetectSpawnSync, DetectAsyncFinish, DetectPipeline, DetectGoroutines,
 // DetectFutures, DetectSource — accepts the same options; an option a
 // frontend cannot honor is documented on the option. The zero
-// configuration is the 2D engine on its default storage, unbuffered
-// ingestion, no cancellation.
+// configuration is the 2D engine on its default storage, no
+// cancellation.
 type Option func(*config)
 
 // config is the resolved option set — the single configuration surface
@@ -22,7 +22,6 @@ type config struct {
 	engine     Engine
 	storage    Storage
 	storageSet bool
-	batch      int
 	queueCap   int
 	shards     int
 	serial     bool
@@ -39,9 +38,6 @@ func newConfig(opts []Option) (*config, error) {
 	}
 	if c.storageSet && c.engine != Engine2D {
 		return nil, fmt.Errorf("race2d: WithStorage applies to Engine2D only, not engine %q", c.engine)
-	}
-	if c.batch < 0 {
-		return nil, fmt.Errorf("race2d: negative batch size %d", c.batch)
 	}
 	if c.queueCap < 0 {
 		return nil, fmt.Errorf("race2d: negative queue capacity %d", c.queueCap)
@@ -65,13 +61,6 @@ func WithEngine(e Engine) Option {
 // with another engine is a configuration error.
 func WithStorage(s Storage) Option {
 	return func(c *config) { c.storage = s; c.storageSet = true }
-}
-
-// WithBatchSize buffers the event stream in batches of n before it
-// reaches the detector, amortizing per-event dispatch (see
-// EventBuffer). Zero (the default) streams events one by one.
-func WithBatchSize(n int) Option {
-	return func(c *config) { c.batch = n }
 }
 
 // WithContext cancels the run when ctx is done. Cancellation is
@@ -136,21 +125,11 @@ func (c *config) newDetector() detector {
 	return newDetector(c.engine)
 }
 
-// run executes a frontend body against the configured detector,
-// interposing the event buffer when batching is requested, and
+// run executes a frontend body against the configured detector and
 // assembles the Report.
 func (c *config) run(body func(fj.Sink) (tasks int, err error)) (*Report, error) {
 	d := c.newDetector()
-	var sink fj.Sink = d
-	var buf *fj.EventBuffer
-	if c.batch > 0 {
-		buf = fj.NewEventBuffer(d, c.batch)
-		sink = buf
-	}
-	tasks, err := body(sink)
-	if buf != nil {
-		buf.Flush()
-	}
+	tasks, err := body(d)
 	return c.finish(d, tasks, nil, err)
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/fj"
-	"repro/internal/workload"
 )
 
 // reportJSON renders a report for byte-level comparison.
@@ -52,31 +51,6 @@ func corpusPrograms(t *testing.T) map[string]string {
 		t.Fatalf("corpus incomplete: %d sources", len(srcs))
 	}
 	return srcs
-}
-
-// TestWithBatchSizeInvariant: batching is a transport detail — verdicts
-// and every report field except the batch counters are unchanged.
-func TestWithBatchSizeInvariant(t *testing.T) {
-	w := workload.ForkJoin{Seed: 7, Ops: 200, MaxDepth: 6,
-		Mix: workload.Mix{Locs: 6, ReadFrac: 0.5}}
-	base, err := Detect(w.Program())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bs := range []int{1, 2, 64, 4096} {
-		rep, err := Detect(w.Program(), WithBatchSize(bs))
-		if err != nil {
-			t.Fatalf("batch %d: %v", bs, err)
-		}
-		a, b := *base, *rep
-		a.Stats, b.Stats = Stats{}, Stats{}
-		if x, y := reportJSONString(t, &a), reportJSONString(t, &b); x != y {
-			t.Fatalf("batch %d changed the report\nbase: %s\nbatched: %s", bs, x, y)
-		}
-	}
-	if _, err := Detect(w.Program(), WithBatchSize(-1)); err == nil {
-		t.Fatal("negative batch size accepted")
-	}
 }
 
 // TestWithStorageBackends: both 2D storage backends report the Figure 2
@@ -145,7 +119,7 @@ func TestDetectGoroutinesOptionsSurface(t *testing.T) {
 		}
 	}
 	var st Stats
-	conc, err := DetectGoroutines(body, WithQueueCapacity(128), WithBatchSize(64), WithStats(&st))
+	conc, err := DetectGoroutines(body, WithQueueCapacity(128), WithStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +170,7 @@ func TestStreamDetectorSurface(t *testing.T) {
 	}
 }
 
-// TestOptionValidationDeterministic: negative WithBatchSize and
+// TestOptionValidationDeterministic: negative WithShards and
 // WithQueueCapacity values are configuration errors on every frontend —
 // reported deterministically, before any execution — while zero means
 // "use the documented default" and succeeds everywhere.
@@ -220,8 +194,8 @@ func TestOptionValidationDeterministic(t *testing.T) {
 		},
 	}
 	bad := map[string]Option{
-		"WithBatchSize(-1)":        WithBatchSize(-1),
-		"WithBatchSize(-1000)":     WithBatchSize(-1000),
+		"WithShards(-1)":           WithShards(-1),
+		"WithShards(-1000)":        WithShards(-1000),
 		"WithQueueCapacity(-1)":    WithQueueCapacity(-1),
 		"WithQueueCapacity(-4096)": WithQueueCapacity(-4096),
 	}
@@ -242,7 +216,7 @@ func TestOptionValidationDeterministic(t *testing.T) {
 			}
 		}
 		// Zero selects the documented default and must succeed.
-		if err := run(WithBatchSize(0), WithQueueCapacity(0)); err != nil {
+		if err := run(WithShards(0), WithQueueCapacity(0)); err != nil {
 			t.Fatalf("%s rejected zero options: %v", fname, err)
 		}
 	}

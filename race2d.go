@@ -22,7 +22,6 @@
 //
 //	report, err := race2d.Detect(body,
 //		race2d.WithEngine(race2d.EngineVC),
-//		race2d.WithBatchSize(256),
 //		race2d.WithContext(ctx),
 //	)
 //
@@ -136,17 +135,10 @@ const (
 	StorageMap = core.StorageMap
 )
 
-// BatchSink is an event sink that can ingest events in batches (see
-// fj.EventBuffer); every engine returned by NewEngineSink implements it.
+// BatchSink is an event sink that can also ingest events in slabs;
+// every StreamDetector implements it. The 2D detector consumes a slab
+// one event at a time; baselines and the sharded backend take it whole.
 type BatchSink = fj.BatchSink
-
-// EventBuffer buffers an event stream and flushes it downstream in
-// batches, amortizing per-event dispatch on the hot path.
-type EventBuffer = fj.EventBuffer
-
-// NewEventBuffer returns an EventBuffer of the given batch size in front
-// of dst; Flush must be called (the runtimes' BatchSize option does so).
-func NewEventBuffer(dst Sink, size int) *EventBuffer { return fj.NewEventBuffer(dst, size) }
 
 // New2DSink returns the 2D detector as a StreamDetector on an explicit
 // per-location storage backend — the entry point for the storage
@@ -319,15 +311,15 @@ func report(e Engine, d detector, tasks int) *Report {
 }
 
 // Detect runs a structured fork-join program under the configured
-// detector (2D by default; see Option). Batching (WithBatchSize) and
-// cancellation (WithContext) apply directly to the serial runtime.
+// detector (2D by default; see Option). Cancellation (WithContext)
+// applies directly to the serial runtime.
 func Detect(root func(*Task), opts ...Option) (*Report, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, err
 	}
 	d := cfg.newDetector()
-	tasks, err := fj.Run(root, d, fj.Options{AutoJoin: true, BatchSize: cfg.batch, Ctx: cfg.ctx})
+	tasks, err := fj.Run(root, d, fj.Options{AutoJoin: true, Ctx: cfg.ctx})
 	return cfg.finish(d, tasks, nil, err)
 }
 
@@ -389,7 +381,6 @@ func DetectGoroutines(root func(*GoTask), opts ...Option) (*Report, error) {
 	res, err := goinstr.RunPipeline(root, d, goinstr.Options{
 		Context:       cfg.ctx,
 		QueueCapacity: cfg.queueCap,
-		BatchSize:     cfg.batch,
 		Serial:        cfg.serial,
 	})
 	return cfg.finish(d, res.Tasks, &res.Stats, err)
@@ -410,16 +401,7 @@ func DetectSource(src io.Reader, opts ...Option) (*Report, error) {
 		return nil, err
 	}
 	d := cfg.newDetector()
-	var sink Sink = d
-	var buf *fj.EventBuffer
-	if cfg.batch > 0 {
-		buf = fj.NewEventBuffer(d, cfg.batch)
-		sink = buf
-	}
-	res, runErr := prog.ExecContext(cfg.context(), p, sink)
-	if buf != nil {
-		buf.Flush()
-	}
+	res, runErr := prog.ExecContext(cfg.context(), p, d)
 	rep, err := cfg.finish(d, res.Tasks, nil, runErr)
 	if rep != nil {
 		rep.AddrName = res.LocName

@@ -14,8 +14,7 @@ import (
 )
 
 // storageMatrix replays tr through both storage backends (paged and
-// map) on both the per-event and the batched ingestion path and asserts
-// all four combinations report byte-identical races, race counts and
+// map) and asserts they report byte-identical races, race counts and
 // location counts. Returns the common verdict.
 func storageMatrix(t *testing.T, label string, tr *fj.Trace) bool {
 	t.Helper()
@@ -27,16 +26,9 @@ func storageMatrix(t *testing.T, label string, tr *fj.Trace) bool {
 	}
 	var cells []cell
 	for _, s := range storages {
-		for _, batched := range []bool{false, true} {
-			d := fj.NewDetectorSinkStorage(4, s)
-			name := fmt.Sprintf("%s/batched=%v", s, batched)
-			if batched {
-				tr.ReplayBatches(d, 0)
-			} else {
-				tr.Replay(d)
-			}
-			cells = append(cells, cell{name, d.Races(), d.D.Count(), d.D.Locations()})
-		}
+		d := fj.NewDetectorSinkStorage(4, s)
+		tr.Replay(d)
+		cells = append(cells, cell{s.String(), d.Races(), d.D.Count(), d.D.Locations()})
 	}
 	want := cells[0]
 	for _, c := range cells[1:] {

@@ -36,8 +36,8 @@ type StreamDetector interface {
 }
 
 // NewStreamDetector builds a StreamDetector from options (engine,
-// storage); batching, context and queue options do not apply to a bare
-// sink and are ignored.
+// storage); context and queue options do not apply to a bare sink and
+// are ignored.
 func NewStreamDetector(opts ...Option) (StreamDetector, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
