@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify perfbench-build fmt-check race vet shard-parity store-parity bench bench-json bench-smoke bench-selfcheck bench-pairs serve-smoke chaos-smoke compress-smoke cluster-smoke store-smoke replication-smoke fuzz fuzz-smoke apidiff clean
+.PHONY: all build test verify perfbench-build fmt-check race vet store-parity bench bench-json bench-smoke bench-selfcheck bench-pairs serve-smoke chaos-smoke compress-smoke cluster-smoke store-smoke replication-smoke fuzz fuzz-smoke apidiff clean
 
 all: build test
 
@@ -20,13 +20,6 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Differential parity of the in-process sharded detector backend:
-# sharded verdicts (2, 4 and 8 location shards) must be byte-identical
-# to serial detection over the corpus, every frontend's workloads, and
-# random seeds.
-shard-parity:
-	$(GO) test -run 'TestShard|TestWithShards' . ./internal/core
-
 # Differential + adversarial gates on the durable report store: a
 # store-backed server must render verdicts byte-identical to the
 # in-memory one (corpus + random seeds), reports must survive a server
@@ -37,12 +30,11 @@ store-parity:
 
 # Mirrors the CI test job step for step (.github/workflows/ci.yml):
 # gofmt gate, vet, build, the full suite, the full suite under the Go
-# race detector, the sharded-vs-serial parity gate, and the durable
-# store's differential/tamper gates. It adds one step CI runs in its
+# race detector, and the durable store's differential/tamper gates. It adds one step CI runs in its
 # bench-selfcheck job instead: perfbench-build compiles and vets the
 # nested perfbench module, which `go build ./...` skips, so an API
 # change that breaks the benchmark fails here too.
-verify: fmt-check vet build perfbench-build test race shard-parity store-parity
+verify: fmt-check vet build perfbench-build test race store-parity
 
 perfbench-build:
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
@@ -56,22 +48,22 @@ bench:
 	$(GO) test -run=NONE -bench BenchmarkDetector -benchmem .
 
 # Regenerate BENCH_race2d.json's replay sections: the full detector ×
-# workload matrix, sharded across GOMAXPROCS workers, and the E13
-# ingestion cells. The E16 "shards" and E17 "compress" sections stay as
-# they are; `-e 16` and `-e 17` regenerate those.
+# workload matrix, spread across GOMAXPROCS replay workers, and the E13
+# ingestion cells. The E17 "compress" section stays as it is; `-e 17`
+# regenerates it.
 bench-json:
 	$(GO) run ./cmd/bench2d -e bench -json BENCH_race2d.json
 
 # Mirrors the CI bench-smoke job: reduced sweeps, no JSON artifact,
 # failing on verdict disagreement, accounting violations, steady-state
 # allocations in the 2D hot path, or the e17 bandwidth gate (compressed
-# pipeline wire bytes/event over budget). `-e all` runs the E1-E10, E13,
-# E16 and E17 tables; the service is measured by perfbench
-# (bench-selfcheck), not by bench2d.
+# pipeline wire bytes/event over budget). The first line's -checkallocs
+# holds the serial 2D replay to zero steady-state allocations. `-e all`
+# runs the E1-E10, E13 and E17 tables; the service is measured by
+# perfbench (bench-selfcheck), not by bench2d.
 bench-smoke:
 	$(GO) run ./cmd/bench2d -e bench -quick -parallel 2 -json '' -checkallocs
 	$(GO) run ./cmd/bench2d -e all -quick
-	$(GO) run ./cmd/bench2d -e 16 -quick -checkallocs -json ''
 	$(GO) run ./cmd/bench2d -e 17 -quick -json ''
 
 # Mirrors the CI bench-selfcheck job: builds the nested perfbench
@@ -141,6 +133,7 @@ replication-smoke:
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/prog
+	$(GO) test -fuzz=FuzzDetectVsOracle -fuzztime=30s ./internal/prog
 	$(GO) test -fuzz=FuzzDecodeTrace -fuzztime=30s ./internal/fj
 	$(GO) test -fuzz=FuzzDecodeEventsBytes -fuzztime=30s ./internal/fj
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire

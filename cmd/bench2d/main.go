@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	bench2d [-e all|1-10|13|16|17|bench] [-quick]
+//	bench2d [-e all|1-10|13|17|bench] [-quick]
 //	        [-parallel N] [-json file] [-cpuprofile file] [-memprofile file]
 //
 // `-e bench` runs the detector × workload replay matrix sharded across
@@ -96,7 +96,7 @@ func run(args []string) int {
 		if *exp == "all" {
 			jp = ""
 		}
-		if code := e.run(*quick, *checkAllocs, jp); code != 0 {
+		if code := e.run(*quick, jp); code != 0 {
 			return code
 		}
 	}
@@ -112,7 +112,7 @@ func run(args []string) int {
 // under its key in jsonPath when that is not empty.
 var experiments = []struct {
 	id  string
-	run func(quick, checkAllocs bool, jsonPath string) int
+	run func(quick bool, jsonPath string) int
 }{
 	{"1", tableOnly(e1)},
 	{"2", tableOnly(e2)},
@@ -125,14 +125,7 @@ var experiments = []struct {
 	{"9", tableOnly(e9)},
 	{"10", tableOnly(func(bool) { e10() })},
 	{"13", tableOnly(func(quick bool) { e13(quick) })},
-	{"16", func(quick, checkAllocs bool, jsonPath string) int {
-		cells, code := e16(quick, checkAllocs)
-		if code != 0 {
-			return code
-		}
-		return landCells(jsonPath, "shards", cells)
-	}},
-	{"17", func(quick, _ bool, jsonPath string) int {
+	{"17", func(quick bool, jsonPath string) int {
 		cells, code := e17(quick)
 		if code != 0 {
 			return code
@@ -142,8 +135,8 @@ var experiments = []struct {
 }
 
 // tableOnly adapts an experiment that only prints its table.
-func tableOnly(e func(quick bool)) func(bool, bool, string) int {
-	return func(quick, _ bool, _ string) int { e(quick); return 0 }
+func tableOnly(e func(quick bool)) func(bool, string) int {
+	return func(quick bool, _ string) int { e(quick); return 0 }
 }
 
 // experimentList renders the valid -e values for the usage string and

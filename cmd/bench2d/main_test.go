@@ -76,7 +76,7 @@ func TestBadFlag(t *testing.T) {
 
 // TestMergeCellsKeepsOtherSections: landing one experiment's cells, or
 // the -e bench matrix, leaves every other section of the document as
-// it was, so `make bench-json` keeps the E16 and E17 cells.
+// it was, so `make bench-json` keeps the E17 cells.
 func TestMergeCellsKeepsOtherSections(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	const compress = `[{"bytes_per_event":0.009,"workload":"pipeline"}]`
@@ -101,16 +101,16 @@ func TestMergeCellsKeepsOtherSections(t *testing.T) {
 	}
 
 	capture(t, func() int {
-		if err := mergeCells(path, map[string]any{"shards": []int{1, 2}}); err != nil {
+		if err := mergeCells(path, map[string]any{"extra": []int{1, 2}}); err != nil {
 			t.Fatal(err)
 		}
 		return 0
 	})
-	if got := section("shards"); got != "[1,2]" {
-		t.Fatalf("shards section %q, want [1,2]", got)
+	if got := section("extra"); got != "[1,2]" {
+		t.Fatalf("extra section %q, want [1,2]", got)
 	}
 	if got := section("compress"); got != compress {
-		t.Fatalf("compress section %q after landing shards, want %q", got, compress)
+		t.Fatalf("compress section %q after landing extra, want %q", got, compress)
 	}
 
 	if testing.Short() {
@@ -122,7 +122,7 @@ func TestMergeCellsKeepsOtherSections(t *testing.T) {
 	if section("results") == "" || section("ingest") == "" {
 		t.Fatal("-e bench wrote no results or ingest section")
 	}
-	for key, want := range map[string]string{"compress": compress, "shards": "[1,2]"} {
+	for key, want := range map[string]string{"compress": compress, "extra": "[1,2]"} {
 		if got := section(key); got != want {
 			t.Errorf("%s section %q after -e bench, want %q", key, got, want)
 		}

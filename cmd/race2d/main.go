@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	race2d [-engine 2d|vc|fasttrack|spbags] [-shards n] [-all] [-truth]
+//	race2d [-engine 2d|vc|fasttrack|spbags] [-all] [-truth]
 //	       [-remote addr[,addr...]] [-auth name:key] [-fetch token]
 //	       program.fj
 //
@@ -52,7 +52,6 @@ func run(args []string) int {
 	traceStats := fs.Bool("stats", false, "print trace shape and per-engine operation-count statistics")
 	viz := fs.Bool("viz", false, "render the task line's evolution (small programs)")
 	remote := fs.String("remote", "", "raced server address(es), comma-separated; detection runs remotely over the wire protocol, extra addresses are failover endpoints (and fetch fallbacks)")
-	shards := fs.Int("shards", 0, "location shards for the 2d engine's access checks (0 or 1 = serial; local runs only)")
 	auth := fs.String("auth", "", "tenant credential name:key for remote runs against a -tenant-keys server")
 	fetch := fs.String("fetch", "", "retrieve the persisted report under this resume token (hex) instead of detecting; requires -remote")
 	if err := fs.Parse(args); err != nil {
@@ -74,7 +73,7 @@ func run(args []string) int {
 	// Binary traces (recorded with -record) are replayed directly; any
 	// other input is parsed as a program.
 	if len(data) >= 4 && [4]byte(data[:4]) == fj.TraceMagic {
-		return runTrace(data, *engineName, *remote, *shards, *all, *truth, *traceStats, *auth)
+		return runTrace(data, *engineName, *remote, *all, *truth, *traceStats, *auth)
 	}
 	p, err := prog.Parse(bytes.NewReader(data))
 	if err != nil {
@@ -111,11 +110,7 @@ func run(args []string) int {
 		if *remote != "" {
 			rep, res, err = execRemote(p, *remote, e, i == 0, &trace, *auth)
 		} else {
-			d, err2 := newSink(e, *shards)
-			if err2 != nil {
-				fmt.Fprintln(os.Stderr, "race2d:", err2)
-				return 2
-			}
+			d := race2d.NewEngineSink(e)
 			sink := race2d.Sink(d)
 			if i == 0 {
 				sink = fj.MultiSink{&trace, d}
@@ -177,18 +172,6 @@ func run(args []string) int {
 		fmt.Println("no races detected")
 	}
 	return 0
-}
-
-// newSink builds the local detector: the 2d engine shards its
-// per-location checks when asked, every other engine (and the serial
-// default) takes the plain path. Verdicts are identical either way;
-// only the operation counters change shape (-stats shows the shard
-// fan-out).
-func newSink(e race2d.Engine, shards int) (race2d.StreamDetector, error) {
-	if shards > 1 && e == race2d.Engine2D {
-		return race2d.NewStreamDetector(race2d.WithEngine(e), race2d.WithShards(shards))
-	}
-	return race2d.NewEngineSink(e), nil
 }
 
 // printReport renders one engine's verdict as text.
@@ -303,7 +286,7 @@ func execRemote(p *prog.Program, remote string, e race2d.Engine, recordTrace boo
 
 // runTrace replays a recorded binary trace under the requested engines,
 // locally or against a raced server.
-func runTrace(data []byte, engineName, remote string, shards int, all, truth, stats bool, auth string) int {
+func runTrace(data []byte, engineName, remote string, all, truth, stats bool, auth string) int {
 	tr, err := fj.DecodeTrace(bytes.NewReader(data))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "race2d:", err)

@@ -277,35 +277,3 @@ func TestRemoteUnreachable(t *testing.T) {
 		t.Fatalf("exit = %d, want 2", code)
 	}
 }
-
-// TestShardsFlagMatchesSerial: -shards changes only the operation
-// counters, never the verdict lines.
-func TestShardsFlagMatchesSerial(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("testdata", "*.fj"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no corpus programs: %v", err)
-	}
-	for _, file := range files {
-		serial, serialCode := capture(t, func() int { return run([]string{file}) })
-		for _, n := range []string{"2", "4", "8"} {
-			sharded, code := capture(t, func() int { return run([]string{"-shards", n, file}) })
-			if code != serialCode {
-				t.Fatalf("%s -shards %s: exit %d, serial %d", file, n, code, serialCode)
-			}
-			if sharded != serial {
-				t.Fatalf("%s -shards %s: output diverges\nserial:\n%s\nsharded:\n%s", file, n, serial, sharded)
-			}
-		}
-	}
-}
-
-// TestShardsFlagStats: the shard fan-out counters surface in -stats.
-func TestShardsFlagStats(t *testing.T) {
-	path := writeProgram(t, figure2)
-	out, _ := capture(t, func() int { return run([]string{"-shards", "4", "-stats", path}) })
-	for _, want := range []string{"shards=4", "cross-shard-handoffs="} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("-stats output missing %q:\n%s", want, out)
-		}
-	}
-}

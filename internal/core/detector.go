@@ -91,15 +91,6 @@ func ParseStorage(s string) (Storage, error) {
 	return 0, fmt.Errorf("core: unknown storage %q", s)
 }
 
-// Access is one memory operation of a sharded-detector batch (see
-// ShardedDetector.OnAccessBatch): task T reads or writes Loc. The layout
-// is chosen so a batch packs densely (16 bytes per access).
-type Access struct {
-	Loc   Addr
-	T     int32
-	Write bool
-}
-
 // Detector is the online race detector of Figure 6 driven by the suprema
 // walker of Figure 8. Feed it the traversal of the executing program
 // (loops, last-arcs and stop-arcs — typically the thread-compressed stream

@@ -112,27 +112,9 @@
 // is the pipeline's drain, and verdicts are bit-identical to serial
 // replay because the merged order *is* the serial order.
 //
-// Sharded detection (ShardedDetector) moves the concurrency boundary
-// one stage further without touching the theorem: the *structure* of
-// the traversal — begins, joins, halts, the union-find forest they
-// mutate — is still consumed by exactly one goroutine in canonical
-// order, so Theorem 4's precondition holds verbatim. What fans out is
-// the per-location work of §1, which only ever *queries* suprema: each
-// access is stamped with a global sequence number and the structural
-// epoch current at its position in the traversal, then routed by a
-// hash of its location's page to one of n location shards over a bounded SPSC queue.
-// A shard answers its queries against an internal/om epoch snapshot —
-// a write-once published view of the last-arc forest in which an
-// access's epoch pins exactly the joins/halts that preceded it — so a
-// query returns precisely what Walker.Sup would have returned at that
-// point of the serial schedule, while the walker races ahead. Per-
-// location read/write supremum folds stay correct because the hash
-// partition sends every access to one shard, where its location's
-// stream arrives in serial order. Race reports carry their sequence
-// numbers and are merged by a stable sort at Finish, so races, their
-// order, counts and locations are byte-identical to serial detection;
-// only the operation-counter geometry differs (shard fan-out counters
-// appear, reader-side path compression disappears).
+// Fanning the per-location checks out to location shards behind one
+// structure stage does not pay: it ran at 0.64–0.80× this serial
+// consumer on 2 vCPUs (EXPERIMENTS E16).
 //
 // ## 6. What is deliberately not here
 //

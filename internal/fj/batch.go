@@ -1,9 +1,9 @@
 package fj
 
 // Batched event delivery. A BatchSink accepts whole event runs in one
-// call; the wire client, the sharded detector's slab dispatch and the
-// baseline engines implement it. The 2D detector takes one event at a
-// time (Sink), and Deliver bridges the two.
+// call; the wire client and the baseline engines implement it. The 2D
+// detector takes one event at a time (Sink), and Deliver bridges the
+// two.
 
 // DefaultBatchSize is the run length the trace decoder and replayer
 // deliver in, and the default producer-side slab of the event queues:

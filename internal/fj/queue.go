@@ -10,10 +10,8 @@ import "repro/internal/spsc"
 // ahead of the consumer its Push blocks until the consumer drains —
 // producers stall, memory never grows without bound.
 //
-// The queue machinery itself lives in internal/spsc (it is shared with
-// the sharded detector backend, which feeds per-location shard workers
-// through the same bounded slab queues); EventQueue is its event
-// instantiation.
+// The queue machinery itself lives in internal/spsc; EventQueue is its
+// event instantiation.
 
 // DefaultQueueCapacity is the per-producer buffered-event bound used
 // when a caller passes a non-positive capacity.

@@ -75,13 +75,6 @@ type Stats struct {
 	MaxQueueDepth  uint64 `json:"max_queue_depth,omitempty"` // high-water mark of any single queue (events)
 	ProducerStalls uint64 `json:"producer_stalls,omitempty"` // pushes that blocked on a full queue
 
-	// Sharded detection backend (core.ShardedDetector): the serial
-	// structure stage dispatching per-location work to N shard workers.
-	Shards             uint64 `json:"shards,omitempty"`               // location shards (1 = serial path, field omitted)
-	ShardEventsMax     uint64 `json:"shard_events_max,omitempty"`     // busiest shard's accesses — the imbalance ceiling
-	CrossShardHandoffs uint64 `json:"cross_shard_handoffs,omitempty"` // accesses handed from the structure stage to shard queues
-	ShardStalls        uint64 `json:"shard_stalls,omitempty"`         // dispatches that blocked on a full shard queue
-
 	// Streaming detection service (internal/server): wire-level
 	// accounting, aggregated across sessions. Per-session detector
 	// reports leave these zero, so local and remote Report JSON stay
@@ -145,8 +138,8 @@ func (s Stats) AmortizedSteps() float64 {
 	return float64(s.Finds+s.Unions+s.PathSteps) / float64(ops)
 }
 
-// Add accumulates other into s field by field, for aggregating shards
-// of a fleet.
+// Add accumulates other into s field by field; DetectGoroutines uses it
+// to merge its ingestion counters into the detector's.
 func (s *Stats) Add(other Stats) {
 	s.Reads += other.Reads
 	s.Writes += other.Writes
@@ -176,12 +169,6 @@ func (s *Stats) Add(other Stats) {
 		s.MaxQueueDepth = other.MaxQueueDepth // a high-water mark, not a volume
 	}
 	s.ProducerStalls += other.ProducerStalls
-	s.Shards += other.Shards
-	if other.ShardEventsMax > s.ShardEventsMax {
-		s.ShardEventsMax = other.ShardEventsMax // a high-water mark, not a volume
-	}
-	s.CrossShardHandoffs += other.CrossShardHandoffs
-	s.ShardStalls += other.ShardStalls
 	s.Sessions += other.Sessions
 	s.SessionsRejected += other.SessionsRejected
 	s.Evictions += other.Evictions
@@ -236,10 +223,6 @@ func (s Stats) String() string {
 	put("events-buffered", s.EventsBuffered)
 	put("max-queue-depth", s.MaxQueueDepth)
 	put("producer-stalls", s.ProducerStalls)
-	put("shards", s.Shards)
-	put("shard-events-max", s.ShardEventsMax)
-	put("cross-shard-handoffs", s.CrossShardHandoffs)
-	put("shard-stalls", s.ShardStalls)
 	put("sessions", s.Sessions)
 	put("sessions-rejected", s.SessionsRejected)
 	put("evictions", s.Evictions)

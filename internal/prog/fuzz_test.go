@@ -7,24 +7,28 @@ import (
 	"repro/internal/fj"
 )
 
+// ParseSeeds is the seed corpus of FuzzParse, shared with the
+// detector-vs-oracle fuzz target in this directory's external test
+// package.
+var ParseSeeds = []string{
+	"",
+	"fork a { read r }\nread r\nfork c { join a }\nwrite r\njoin c\n",
+	"fork a { } join a",
+	"joinleft",
+	"read x write y",
+	"fork a { fork b { write z } join b }",
+	"# comment only",
+	"fork { }",
+	"}{",
+	"fork a { read r",
+	strings.Repeat("fork t { ", 50) + "write x" + strings.Repeat(" }", 50),
+}
+
 // FuzzParse checks the parser never panics, and that accepted programs
 // round-trip through String and execute (or fail) cleanly. Run the seeds
 // with `go test`; explore with `go test -fuzz=FuzzParse ./internal/prog`.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"",
-		"fork a { read r }\nread r\nfork c { join a }\nwrite r\njoin c\n",
-		"fork a { } join a",
-		"joinleft",
-		"read x write y",
-		"fork a { fork b { write z } join b }",
-		"# comment only",
-		"fork { }",
-		"}{",
-		"fork a { read r",
-		strings.Repeat("fork t { ", 50) + "write x" + strings.Repeat(" }", 50),
-	}
-	for _, s := range seeds {
+	for _, s := range ParseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

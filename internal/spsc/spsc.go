@@ -1,11 +1,9 @@
 // Package spsc provides the bounded single-producer/single-consumer slab
-// queue shared by the concurrent ingestion pipeline (fj.EventQueue feeding
-// the merge stage) and the sharded detector backend (the structure stage
-// feeding per-location shard workers). Capacity is counted in elements,
-// not slabs, so backpressure is proportional to the memory actually
-// buffered: when the producer runs ahead of the consumer its Push blocks
-// until the consumer drains — producers stall, memory never grows without
-// bound.
+// queue behind the concurrent ingestion pipeline (fj.EventQueue feeding
+// the merge stage). Capacity is counted in elements, not slabs, so
+// backpressure is proportional to the memory actually buffered: when the
+// producer runs ahead of the consumer its Push blocks until the consumer
+// drains — producers stall, memory never grows without bound.
 package spsc
 
 import (

@@ -1,6 +1,6 @@
 // Package store is the durable, tamper-evident report store behind the
 // raced session server. The paper's product is the Report; everything
-// upstream of this package (sharding, resume, compression, clustering)
+// upstream of this package (resume, compression, clustering)
 // scales how fast reports are produced — this package is where they
 // live once produced.
 //

@@ -23,7 +23,6 @@ type config struct {
 	storage    Storage
 	storageSet bool
 	queueCap   int
-	shards     int
 	serial     bool
 	ctx        context.Context
 	stats      *Stats
@@ -41,12 +40,6 @@ func newConfig(opts []Option) (*config, error) {
 	}
 	if c.queueCap < 0 {
 		return nil, fmt.Errorf("race2d: negative queue capacity %d", c.queueCap)
-	}
-	if c.shards < 0 {
-		return nil, fmt.Errorf("race2d: negative shard count %d", c.shards)
-	}
-	if c.shards > 1 && c.engine != Engine2D {
-		return nil, fmt.Errorf("race2d: WithShards applies to Engine2D only, not engine %q", c.engine)
 	}
 	return c, nil
 }
@@ -82,28 +75,12 @@ func WithStats(dst *Stats) Option {
 }
 
 // WithQueueCapacity bounds each producer's event queue in the
-// concurrent ingestion pipeline to n events, and each location shard's
-// in-flight access queue (WithShards) to n accesses; full queues block
-// their producer (backpressure) rather than growing. Zero selects the
-// default. The frontends without concurrent ingestion or shards execute
-// on the serial schedule and never buffer unboundedly.
+// concurrent ingestion pipeline (DetectGoroutines) to n events; a full
+// queue blocks its producer (backpressure) rather than growing. Zero
+// selects the default. The other frontends execute on the serial
+// schedule and never buffer unboundedly.
 func WithQueueCapacity(n int) Option {
 	return func(c *config) { c.queueCap = n }
-}
-
-// WithShards splits the 2D detector into a serial structure stage and n
-// parallel location shards: the fork-join structure is still consumed in
-// canonical order by one goroutine (the Theorem 4 contract), while
-// per-location access checks are partitioned by address hash across n
-// workers with private storage, answering suprema queries against an
-// epoch snapshot of the order-maintenance structure. Verdicts — races,
-// their order, counts, locations — are byte-identical to serial
-// detection; only the operation counters differ in shape (shard
-// fan-out counters appear, path steps vanish). 0 and 1 select the
-// serial detector (the default); other engines cannot shard. See also
-// WithQueueCapacity for the per-shard backpressure bound.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
 }
 
 // WithSerialIngest makes DetectGoroutines execute tasks serialized
@@ -116,9 +93,6 @@ func WithSerialIngest() Option {
 
 // newDetector builds the configured engine.
 func (c *config) newDetector() detector {
-	if c.shards > 1 {
-		return fj.NewShardedDetectorSink(16, 64, c.shards, c.storage, c.queueCap)
-	}
 	if c.storageSet {
 		return detectorSinkAdapter{fj.NewDetectorSinkStorage(16, c.storage)}
 	}
@@ -140,12 +114,6 @@ func (c *config) run(body func(fj.Sink) (tasks int, err error)) (*Report, error)
 func (c *config) finish(d detector, tasks int, ingest *Stats, runErr error) (*Report, error) {
 	if runErr != nil && !goinstr.IsCancellation(runErr) {
 		return nil, runErr
-	}
-	// A sharded detector must flush and join its location workers
-	// before the verdict is read (its accessors would do so lazily;
-	// doing it here keeps the sequencing explicit).
-	if f, ok := d.(interface{ Finish() }); ok {
-		f.Finish()
 	}
 	rep := report(c.engine, d, tasks)
 	if ingest != nil {

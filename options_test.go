@@ -170,10 +170,10 @@ func TestStreamDetectorSurface(t *testing.T) {
 	}
 }
 
-// TestOptionValidationDeterministic: negative WithShards and
-// WithQueueCapacity values are configuration errors on every frontend —
-// reported deterministically, before any execution — while zero means
-// "use the documented default" and succeeds everywhere.
+// TestOptionValidationDeterministic: negative WithQueueCapacity values
+// are configuration errors on every frontend — reported
+// deterministically, before any execution — while zero means "use the
+// documented default" and succeeds everywhere.
 func TestOptionValidationDeterministic(t *testing.T) {
 	frontends := map[string]func(opts ...Option) error{
 		"Detect": func(opts ...Option) error {
@@ -194,8 +194,6 @@ func TestOptionValidationDeterministic(t *testing.T) {
 		},
 	}
 	bad := map[string]Option{
-		"WithShards(-1)":           WithShards(-1),
-		"WithShards(-1000)":        WithShards(-1000),
 		"WithQueueCapacity(-1)":    WithQueueCapacity(-1),
 		"WithQueueCapacity(-4096)": WithQueueCapacity(-4096),
 	}
@@ -216,7 +214,7 @@ func TestOptionValidationDeterministic(t *testing.T) {
 			}
 		}
 		// Zero selects the documented default and must succeed.
-		if err := run(WithShards(0), WithQueueCapacity(0)); err != nil {
+		if err := run(WithQueueCapacity(0)); err != nil {
 			t.Fatalf("%s rejected zero options: %v", fname, err)
 		}
 	}

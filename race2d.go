@@ -137,7 +137,7 @@ const (
 
 // BatchSink is an event sink that can also ingest events in slabs;
 // every StreamDetector implements it. The 2D detector consumes a slab
-// one event at a time; baselines and the sharded backend take it whole.
+// one event at a time; the baselines take it whole.
 type BatchSink = fj.BatchSink
 
 // New2DSink returns the 2D detector as a StreamDetector on an explicit

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func racyReport(t *testing.T) *Report {
@@ -122,5 +124,62 @@ func TestUnmarshalRejectsUnknowns(t *testing.T) {
 	bad := `{"engine":"2d","races":[{"location":"0x1","kind":"sideways"}]}`
 	if err := json.Unmarshal([]byte(bad), &rep); err == nil {
 		t.Fatal("unknown race kind accepted")
+	}
+}
+
+// TestUnmarshalIgnoresRetiredShardFields: a Report written by the
+// removed sharded backend (the CLI's former two-shard JSON output)
+// still unmarshals; its shard counters are dropped and the verdict and
+// the remaining counters survive.
+func TestUnmarshalIgnoresRetiredShardFields(t *testing.T) {
+	const sharded = `{
+  "engine": "2d",
+  "tasks": 3,
+  "locations": 1,
+  "race_count": 1,
+  "races": [
+    {
+      "location": "0x10",
+      "kind": "read-write",
+      "current_task": 0,
+      "prior_root_task": 2,
+      "precise": true
+    }
+  ],
+  "memory_bytes": 1696,
+  "stats": {
+    "reads": 2,
+    "writes": 1,
+    "sup_queries": 2,
+    "races": 1,
+    "locations": 1,
+    "shards": 2,
+    "shard_events_max": 3,
+    "cross_shard_handoffs": 3,
+    "shard_stalls": 1
+  }
+}`
+	var rep Report
+	if err := json.Unmarshal([]byte(sharded), &rep); err != nil {
+		t.Fatalf("sharded-era report rejected: %v", err)
+	}
+	want := Report{
+		Races:       []Race{{Loc: 0x10, Kind: core.ReadWrite, Current: 0, Prior: 2}},
+		Count:       1,
+		Tasks:       3,
+		Locations:   1,
+		MemoryBytes: 1696,
+		Engine:      Engine2D,
+		Stats:       Stats{Reads: 2, Writes: 1, SupQueries: 2, Races: 1, Locations: 1},
+	}
+	if !reflect.DeepEqual(rep, want) {
+		t.Fatalf("unmarshal = %+v\nwant %+v", rep, want)
+	}
+	out, err := json.Marshal(&rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(out, []byte("shard")) {
+		t.Fatalf("re-marshaled report still names shards: %s", out)
 	}
 }
