@@ -143,11 +143,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzReplFrames -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzLocTable -fuzztime=30s ./internal/core
+	$(GO) test -fuzz=FuzzReportJSON -fuzztime=30s .
 
 # Mirrors the CI fuzz-smoke job: seed corpora, then a short fuzz budget
 # per target.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/prog ./internal/fj ./internal/wire ./internal/store ./internal/core
+	$(GO) test -run 'Fuzz' . ./internal/prog ./internal/fj ./internal/wire ./internal/store ./internal/core
 	$(MAKE) fuzz
 
 # Diff the exported API of the root package and the client package

@@ -14,7 +14,9 @@ package race2d
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -374,4 +376,49 @@ func BenchmarkRecognizeLattice(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- Report JSON codec (EXPERIMENTS E21) ---------------------------------
+
+// BenchmarkReportJSON times the Report JSON codec on the median of 32
+// Reports shaped like perfbench's `verdicts` pool (about 470 races,
+// 45 KB compact): the compact encode raced's Finish sends and stores,
+// the indented encode of WriteJSON (`race2d -json`, perfbench's
+// report.encode_us), and the decode the client's Finish and Fetch run.
+func BenchmarkReportJSON(b *testing.B) {
+	reps := verdictReports(b, 32)
+	sort.Slice(reps, func(i, j int) bool { return len(reps[i].Races) < len(reps[j].Races) })
+	rep := reps[len(reps)/2]
+	data, err := rep.MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Logf("%d races, %d bytes compact", len(rep.Races), len(data))
+	b.Run("encode-compact", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := rep.MarshalJSON(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode-indent", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := rep.WriteJSON(io.Discard, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			var back Report
+			if err := back.UnmarshalJSON(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

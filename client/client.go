@@ -46,7 +46,6 @@ package client
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -537,7 +536,7 @@ func (s *Session) reader(conn net.Conn, gen uint64) {
 			flags, body, err := wire.DecodeReport(payload)
 			rep := &race2d.Report{}
 			if err == nil {
-				err = json.Unmarshal(body, rep)
+				err = rep.UnmarshalJSON(body)
 			}
 			s.mu.Lock()
 			if err != nil {

@@ -2,7 +2,6 @@ package client
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -135,7 +134,7 @@ func fetchOnce(addr string, token uint64, norm options) (*Fetched, error) {
 			return nil, fmt.Errorf("client: fetch: %w", err)
 		}
 		rep := &race2d.Report{}
-		if err := json.Unmarshal(body, rep); err != nil {
+		if err := rep.UnmarshalJSON(body); err != nil {
 			return nil, fmt.Errorf("client: fetch: report: %w", err)
 		}
 		return &Fetched{

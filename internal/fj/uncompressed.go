@@ -102,7 +102,3 @@ func (s *UncompressedSink) Races() []core.Race { return s.D.Races() }
 
 // Racy reports whether any race was detected.
 func (s *UncompressedSink) Racy() bool { return s.D.Racy() }
-
-// Vertices returns the number of walker vertices created — Θ(ops), the
-// quantity thread compression eliminates.
-func (s *UncompressedSink) Vertices() int { return s.next }

@@ -102,7 +102,7 @@ func TestUncompressedVerticesCountOps(t *testing.T) {
 			want++
 		}
 	}
-	if us.Vertices() != want {
-		t.Fatalf("vertices = %d, want %d (tasks %d)", us.Vertices(), want, tasks)
+	if us.next != want {
+		t.Fatalf("vertices = %d, want %d (tasks %d)", us.next, want, tasks)
 	}
 }

@@ -47,9 +47,6 @@ func New() *List {
 // Len returns the number of user items.
 func (l *List) Len() int { return l.size }
 
-// Relabels reports how many renumber passes have run (cost accounting).
-func (l *List) Relabels() int { return l.relabels }
-
 // InsertFirst inserts a fresh item at the front of the order.
 func (l *List) InsertFirst() *Item { return l.InsertAfter(l.head) }
 

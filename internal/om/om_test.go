@@ -47,7 +47,7 @@ func TestAdversarialFrontInsertions(t *testing.T) {
 			t.Fatalf("order broken at %d", i)
 		}
 	}
-	if l.Relabels() == 0 {
+	if l.relabels == 0 {
 		t.Fatal("expected at least one renumber pass")
 	}
 }

@@ -1507,7 +1507,7 @@ func (sess *session) finish(conn net.Conn, nextSeq uint64, finished bool, readEr
 	<-sess.drained
 
 	rep := sess.detector.Report()
-	body, err := json.Marshal(rep)
+	body, err := rep.MarshalJSON()
 	if err != nil {
 		srv.logf("session %d: marshal report: %v", sess.id, err)
 		sess.srv.retire(sess)

@@ -481,3 +481,62 @@ func TestConcurrentSessions(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeTaskIDsEndSession: a session whose stream names a
+// negative task id — a begin(-5), or a join of task -3 — ends with an
+// Error frame instead of crashing the server, and the next valid
+// session still gets a Report byte-identical to the local one.
+func TestNegativeTaskIDsEndSession(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
+	for _, c := range []struct {
+		name   string
+		events []fj.Event
+	}{
+		{"begin(-5)", []fj.Event{{Kind: fj.EvBegin, T: -5}}},
+		{"join(-3)", []fj.Event{{Kind: fj.EvBegin, T: 0}, {Kind: fj.EvJoin, T: 0, U: -3}}},
+	} {
+		sess, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range c.events {
+			sess.Event(ev)
+		}
+		_, err = sess.Finish()
+		sess.Close()
+		if err == nil || !strings.Contains(err.Error(), "server error") || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("%s: Finish = %v, want the server's out-of-range Error", c.name, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Live() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d session(s) still live after the refusals", srv.Live())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	c := workload.ForkJoin{Seed: 1, Ops: 1500, MaxDepth: 5, Mix: workload.Mix{Locs: 24, ReadFrac: 0.6}}
+	d := race2d.NewEngineSink(race2d.Engine2D)
+	localTasks, err := c.Run(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := renderJSON(t, d.Report(), localTasks, nil)
+	sess, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	remoteTasks, err := c.Run(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote := renderJSON(t, rep, remoteTasks, nil); remote != local {
+		t.Fatalf("report after the refusals differs from local\nlocal:\n%s\nremote:\n%s", local, remote)
+	}
+}

@@ -467,12 +467,23 @@ func (d *BlockDecoder) DecodeBlockInto(dst []fj.Event, payload []byte) (seq uint
 
 // decodeRawBody parses exactly count raw-form records spanning body.
 // The records must be in canonical (shortest-varint) form, so that body
-// is exactly the record form the events re-encode to.
+// is exactly the record form the events re-encode to. A negative task
+// id (a varint of 2^63 or more) is refused, as scheme 4 refuses it: the
+// detector indexes its state by task id, and no task has such an id.
+// Ids past maxBlockTask still travel raw.
 func decodeRawBody(dst []fj.Event, body []byte, count int) ([]fj.Event, error) {
 	start := len(dst)
 	dst, rest, err := fj.DecodeEventsBytes(dst, body, count)
 	if err != nil {
 		return dst, fmt.Errorf("wire: block: %w", err)
+	}
+	for i, ev := range dst[start:] {
+		if ev.T < 0 {
+			return dst, fmt.Errorf("wire: block: event %d: task id %d out of range", i, ev.T)
+		}
+		if (ev.Kind == fj.EvFork || ev.Kind == fj.EvJoin) && ev.U < 0 {
+			return dst, fmt.Errorf("wire: block: event %d: task id %d out of range", i, ev.U)
+		}
 	}
 	if len(rest) != 0 {
 		return dst, fmt.Errorf("wire: block: %d trailing bytes after %d events", len(rest), count)

@@ -176,6 +176,10 @@ func TestBlockDecoderRejectsHostileInput(t *testing.T) {
 		// two bytes instead of one: the declared raw length overstates
 		// the record form the event re-encodes to
 		"non-canonical raw": {5, 1, 4, blockRaw, byte(fj.EvRead), 0x80, 0x00, 0},
+		// negative task ids, which the encoder can only ship raw: a
+		// begin(-5), and a join naming task -3
+		"negative task raw": enc.AppendBlock(nil, 1, []fj.Event{{Kind: fj.EvBegin, T: -5}}),
+		"negative join raw": enc.AppendBlock(nil, 1, []fj.Event{{Kind: fj.EvBegin}, {Kind: fj.EvJoin, U: -3}}),
 	}
 	for name, payload := range cases {
 		var dec BlockDecoder

@@ -204,7 +204,8 @@ func TestReportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"engine": "2d"`, `"race_count": 1`, `"precise": true`, `"0x10"`} {
+	// MarshalJSON returns the compact form; WriteJSON the indented one.
+	for _, want := range []string{`"engine":"2d"`, `"race_count":1`, `"precise":true`, `"0x10"`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("JSON missing %q:\n%s", want, data)
 		}
