@@ -85,10 +85,10 @@ type pending struct {
 	block []byte
 }
 
-// Session is one open detection session. It implements fj.Sink and
-// fj.BatchSink; it is single-producer, like every detector sink. Two
-// background goroutines ride along per connection: a reader (acks,
-// report, errors) and a heartbeat.
+// Session is one open detection session. It implements fj.Sink, and
+// EventBatch takes a whole slab; it is single-producer, like every
+// detector sink. Two background goroutines ride along per connection:
+// a reader (acks, report, errors) and a heartbeat.
 type Session struct {
 	endpoints []string // dial targets, tried in rotation; [0] is the Dial addr
 	ep        int      // index of the endpoint the next dial tries
@@ -624,9 +624,8 @@ func (s *Session) Event(e fj.Event) {
 	}
 }
 
-// EventBatch buffers a slab of events. Implements fj.BatchSink. Full
-// frames are encoded straight from events, which the session does not
-// retain.
+// EventBatch buffers a slab of events. Full frames are encoded straight
+// from events, which the session does not retain.
 func (s *Session) EventBatch(events []fj.Event) {
 	for len(events) > 0 {
 		if len(s.batch) == 0 && len(events) >= s.opts.EventsPerFrame {

@@ -23,12 +23,14 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/baseline/fasttrack"
+	"repro/internal/baseline/spbags"
+	"repro/internal/baseline/spom"
+	"repro/internal/baseline/vc"
 	"repro/internal/core"
 	"repro/internal/fj"
 	"repro/internal/obs"
 	"repro/internal/workload"
-
-	race2d "repro"
 )
 
 // benchSink is the surface a replay cell needs from any detector.
@@ -44,26 +46,25 @@ type accountable interface{ CheckAccounting() error }
 
 // benchDetector names one detector configuration of the matrix.
 type benchDetector struct {
-	name    string
-	spOnly  bool // defined only on series-parallel workloads
-	batched bool // replay in DefaultBatchSize slabs through the engine's EventBatch
-	fresh   func() benchSink
+	name   string
+	spOnly bool // defined only on series-parallel workloads
+	fresh  func() benchSink
 }
 
+// benchDetectors lists the matrix's engines. Every cell replays into
+// the engine itself, with no wrapper between, so the 2D cells and the
+// baselines alike pay one Sink.Event dispatch per event.
 func benchDetectors() []benchDetector {
 	storage := func(s core.Storage) func() benchSink {
 		return func() benchSink { return fj.NewDetectorSinkStorage(16, s) }
 	}
-	engine := func(e race2d.Engine) func() benchSink {
-		return func() benchSink { return race2d.NewEngineSink(e) }
-	}
 	return []benchDetector{
 		{name: "2d", fresh: storage(core.StorageOpenAddr)},
 		{name: "2d-map", fresh: storage(core.StorageMap)},
-		{name: "vc", batched: true, fresh: engine(race2d.EngineVC)},
-		{name: "fasttrack", batched: true, fresh: engine(race2d.EngineFastTrack)},
-		{name: "spbags", spOnly: true, batched: true, fresh: engine(race2d.EngineSPBags)},
-		{name: "sporder", spOnly: true, batched: true, fresh: engine(race2d.EngineSPOrder)},
+		{name: "vc", fresh: func() benchSink { return vc.New() }},
+		{name: "fasttrack", fresh: func() benchSink { return fasttrack.New() }},
+		{name: "spbags", spOnly: true, fresh: func() benchSink { return spbags.New() }},
+		{name: "sporder", spOnly: true, fresh: func() benchSink { return spom.New() }},
 	}
 }
 
@@ -123,7 +124,6 @@ func benchWorkloads(quick bool) []benchWorkload {
 type benchCell struct {
 	Workload string `json:"workload"`
 	Detector string `json:"detector"`
-	Batched  bool   `json:"batched"`
 	Events   int    `json:"events"`
 	MemOps   int    `json:"memops"`
 	Reps     int    `json:"reps"`
@@ -149,14 +149,6 @@ type benchCell struct {
 	det benchDetector
 }
 
-func (c *benchCell) replay(d benchSink) {
-	if c.det.batched {
-		c.wl.tr.ReplayBatches(d)
-	} else {
-		c.wl.tr.Replay(d)
-	}
-}
-
 // eBench runs the matrix and lands its sections in jsonPath (when
 // non-empty), keeping the document's other sections. With
 // checkAllocs, a nonzero steady-state allocation count on any 2D-family
@@ -178,7 +170,6 @@ func eBench(quick bool, workers int, jsonPath string, checkAllocs bool) int {
 			cells = append(cells, &benchCell{
 				Workload: wl.name,
 				Detector: det.name,
-				Batched:  det.batched,
 				Events:   len(wl.tr.Events),
 				MemOps:   wl.memops,
 				wl:       wl,
@@ -209,7 +200,7 @@ func eBench(quick bool, workers int, jsonPath string, checkAllocs bool) int {
 				runtime.GC()
 				d := c.det.fresh()
 				warm := time.Now()
-				c.replay(d)
+				c.wl.tr.Replay(d)
 				est := time.Since(warm)
 				c.Racy = d.Racy()
 				reps := 1
@@ -227,7 +218,7 @@ func eBench(quick bool, workers int, jsonPath string, checkAllocs bool) int {
 				for i := 0; i < reps; i++ {
 					fresh := c.det.fresh()
 					t0 := time.Now()
-					c.replay(fresh)
+					c.wl.tr.Replay(fresh)
 					durs[i] = time.Since(t0)
 					if fresh.Racy() != c.Racy {
 						panic(fmt.Sprintf("bench: %s/%s: nondeterministic verdict", c.Workload, c.Detector))
@@ -277,7 +268,7 @@ func eBench(quick bool, workers int, jsonPath string, checkAllocs bool) int {
 		for _, c := range cells {
 			d := c.det.fresh()
 			runtime.ReadMemStats(&ms0)
-			c.replay(d)
+			c.wl.tr.Replay(d)
 			runtime.ReadMemStats(&ms1)
 			c.BytesPerReplayCold = ms1.TotalAlloc - ms0.TotalAlloc
 			c.AllocsPerReplayCold = ms1.Mallocs - ms0.Mallocs
@@ -288,7 +279,7 @@ func eBench(quick bool, workers int, jsonPath string, checkAllocs bool) int {
 				}
 			}
 			runtime.ReadMemStats(&ms0)
-			c.replay(d)
+			c.wl.tr.Replay(d)
 			runtime.ReadMemStats(&ms1)
 			c.BytesPerReplaySteady = ms1.TotalAlloc - ms0.TotalAlloc
 			c.AllocsPerReplaySteady = ms1.Mallocs - ms0.Mallocs

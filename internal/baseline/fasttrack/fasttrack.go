@@ -205,15 +205,6 @@ func (d *Detector) MemoryBytes() int {
 	return total + len(d.locs)*mapEntryOverhead
 }
 
-// EventBatch implements fj.BatchSink: one dynamic dispatch per batch of
-// events instead of one per event, matching the 2D detector's batched
-// ingestion path so cross-engine comparisons stay fair.
-func (d *Detector) EventBatch(events []fj.Event) {
-	for i := range events {
-		d.Event(events[i])
-	}
-}
-
 // Stats reports the detector's operation counts. EpochHits is the share
 // of accesses resolved by the O(1) same-epoch fast path; ReadShares
 // counts the epoch→vector promotions where FastTrack's per-location

@@ -166,15 +166,6 @@ func (d *Detector) MemoryBytes() int {
 	return total + len(d.locs)*mapEntryOverhead
 }
 
-// EventBatch implements fj.BatchSink: one dynamic dispatch per batch of
-// events instead of one per event, matching the 2D detector's batched
-// ingestion path so cross-engine comparisons stay fair.
-func (d *Detector) EventBatch(events []fj.Event) {
-	for i := range events {
-		d.Event(events[i])
-	}
-}
-
 // Stats reports the detector's operation counts. SetScans is the
 // defining cost: one increment per prior access examined, growing with
 // history where every other engine's per-operation work stays bounded.

@@ -190,15 +190,6 @@ func (d *Detector) MemoryBytes() int {
 	return d.uf.MemoryBytes() + len(d.parent)*8 + len(d.locs)*(8+mapEntryOverhead)
 }
 
-// EventBatch implements fj.BatchSink: one dynamic dispatch per batch of
-// events instead of one per event, matching the 2D detector's batched
-// ingestion path so cross-engine comparisons stay fair.
-func (d *Detector) EventBatch(events []fj.Event) {
-	for i := range events {
-		d.Event(events[i])
-	}
-}
-
 // Stats reports the detector's operation counts. The bags are
 // union-find sets, so the bag membership tests and merges surface as
 // Finds/Unions/PathSteps from the underlying forest — directly

@@ -193,15 +193,6 @@ func (d *Detector) MemoryBytes() int {
 	return d.segments*2*itemBytes + len(d.locs)*(16+mapEntryOverhead)
 }
 
-// EventBatch implements fj.BatchSink: one dynamic dispatch per batch of
-// events instead of one per event, matching the 2D detector's batched
-// ingestion path so cross-engine comparisons stay fair.
-func (d *Detector) EventBatch(events []fj.Event) {
-	for i := range events {
-		d.Event(events[i])
-	}
-}
-
 // Stats reports the detector's operation counts: order-maintenance list
 // insertions (Θ(1) amortized each) and precedence queries — the
 // 2-realizer analogue of the 2D detector's sup queries.

@@ -209,15 +209,6 @@ func (d *Detector) MemoryBytes() int {
 	return total + len(d.locs)*mapEntryOverhead
 }
 
-// EventBatch implements fj.BatchSink: one dynamic dispatch per batch of
-// events instead of one per event, matching the 2D detector's batched
-// ingestion path so cross-engine comparisons stay fair.
-func (d *Detector) EventBatch(events []fj.Event) {
-	for i := range events {
-		d.Event(events[i])
-	}
-}
-
 // Stats reports the detector's operation counts: the clock merges and
 // the Θ(n) clock-entry scans race checking costs here, next to the
 // memop and race totals, so cross-engine comparisons in bench2d report

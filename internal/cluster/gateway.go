@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -831,9 +832,16 @@ func (g *Gateway) Handler() http.Handler {
 		fmt.Fprintf(w, "racedctl_tenant_reloads_total %d\n", st.TenantReloads)
 		fmt.Fprintf(w, "racedctl_session_table_size %d\n", st.Table)
 		fmt.Fprintf(w, "racedctl_conduits_live %d\n", st.Conduits)
-		for addr, mst := range g.ring.Members() {
+		// Backends in address order, so the exposition is stable.
+		members := g.ring.Members()
+		addrs := make([]string, 0, len(members))
+		for addr := range members {
+			addrs = append(addrs, addr)
+		}
+		sort.Strings(addrs)
+		for _, addr := range addrs {
 			upv := 0
-			if mst == StateUp {
+			if members[addr] == StateUp {
 				upv = 1
 			}
 			fmt.Fprintf(w, "racedctl_backend_up{backend=%q} %d\n", addr, upv)

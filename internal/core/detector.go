@@ -80,17 +80,6 @@ func (s Storage) String() string {
 	return fmt.Sprintf("Storage(%d)", uint8(s))
 }
 
-// ParseStorage converts a backend name to a Storage.
-func ParseStorage(s string) (Storage, error) {
-	switch s {
-	case "openaddr", "oa", "table":
-		return StorageOpenAddr, nil
-	case "map":
-		return StorageMap, nil
-	}
-	return 0, fmt.Errorf("core: unknown storage %q", s)
-}
-
 // Detector is the online race detector of Figure 6 driven by the suprema
 // walker of Figure 8. Feed it the traversal of the executing program
 // (loops, last-arcs and stop-arcs — typically the thread-compressed stream

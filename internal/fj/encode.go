@@ -73,11 +73,11 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 // recording sink for when the reader cannot say how much input is left.
 const unknownLenPresize = 4096
 
-// DecodeTraceInto streams a trace written by Encode directly into sink
-// in runs of DefaultBatchSize events, using sink's BatchSink path when
-// implemented. Unlike DecodeTrace it never materializes the whole
-// trace, so arbitrarily long recordings replay in constant memory. It
-// returns the number of events delivered.
+// DecodeTraceInto streams a trace written by Encode directly into sink,
+// one Event call per decoded event. Unlike DecodeTrace it never
+// materializes the whole trace, so arbitrarily long recordings replay
+// in constant memory. It returns the number of events delivered: on a
+// truncated or corrupt input, every event decoded before the fault.
 func DecodeTraceInto(r io.Reader, sink Sink) (int, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -114,25 +114,14 @@ func DecodeTraceInto(r io.Reader, sink Sink) (int, error) {
 			tr.Events = grown
 		}
 	}
-	batch := make([]Event, 0, max(1, min(int(count), DefaultBatchSize)))
-	delivered := 0
 	for i := uint64(0); i < count; i++ {
 		e, err := decodeEvent(br, i)
 		if err != nil {
-			return delivered, err
+			return int(i), err
 		}
-		batch = append(batch, e)
-		if len(batch) == cap(batch) {
-			deliver(sink, batch)
-			delivered += len(batch)
-			batch = batch[:0]
-		}
+		sink.Event(e)
 	}
-	if len(batch) > 0 {
-		deliver(sink, batch)
-		delivered += len(batch)
-	}
-	return delivered, nil
+	return int(count), nil
 }
 
 // decodeEvent reads one event record (kind byte + uvarint payload).

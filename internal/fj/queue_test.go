@@ -138,3 +138,49 @@ func TestEventQueueRecycleReusesSlabs(t *testing.T) {
 		t.Fatalf("slab not reused: cap %d vs %d", cap(reused), cap(got))
 	}
 }
+
+// TestEventQueueHandoff: a producer and a concurrent consumer that
+// recycles every slab; events arrive in order across many slabs and the
+// stats count every push.
+func TestEventQueueHandoff(t *testing.T) {
+	q := NewEventQueue(64, 8)
+	const slabs = 100
+	var got []Event
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			slab, ok := q.Pop()
+			if !ok {
+				return
+			}
+			got = append(got, slab...)
+			q.Recycle(slab)
+		}
+	}()
+	n := 0
+	for i := 0; i < slabs; i++ {
+		slab := q.NewSlab()
+		for j := 0; j < cap(slab); j++ {
+			slab = append(slab, Event{Kind: EvRead, T: ID(n)})
+			n++
+		}
+		if err := q.Push(slab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.Close()
+	wg.Wait()
+	if len(got) != n {
+		t.Fatalf("received %d events, sent %d", len(got), n)
+	}
+	for i, e := range got {
+		if e.T != ID(i) {
+			t.Fatalf("got[%d].T = %d, want %d (order lost)", i, e.T, i)
+		}
+	}
+	if st := q.Stats(); st.Pushed != uint64(n) {
+		t.Fatalf("stats pushed %d, want %d", st.Pushed, n)
+	}
+}

@@ -152,8 +152,3 @@ func Run(root func(*Task), sink Sink, opt Options) (tasks int, err error) {
 	}
 	return rt.line.Tasks(), rt.err
 }
-
-// RunProgram is a convenience wrapper with auto-joining enabled.
-func RunProgram(root func(*Task), sink Sink) (int, error) {
-	return Run(root, sink, Options{AutoJoin: true})
-}

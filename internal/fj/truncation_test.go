@@ -43,8 +43,9 @@ func TestDecodeTruncatedIsSentinel(t *testing.T) {
 	}
 }
 
-// TestDecodeTraceIntoTruncated: the streaming decoder reports the same
-// sentinel and still delivers the complete prefix batches it decoded.
+// TestDecodeTraceIntoTruncated: at every cut past the header, the
+// streaming decoder reports the same sentinel and has delivered every
+// event whose record ends before the cut, in order, and no other.
 func TestDecodeTraceIntoTruncated(t *testing.T) {
 	tr := longTrace(t)
 	var enc bytes.Buffer
@@ -52,24 +53,32 @@ func TestDecodeTraceIntoTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := enc.Bytes()
-	cut := len(data) - 2
-	var got Trace
-	n, err := DecodeTraceInto(bytes.NewReader(data[:cut]), &got)
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("error %v does not wrap ErrTruncated", err)
+	header := len(data) - len(AppendEvents(nil, tr.Events))
+	// ends[k] is the byte offset at which event k's record ends.
+	ends := make([]int, len(tr.Events))
+	for k := range tr.Events {
+		ends[k] = header + len(AppendEvents(nil, tr.Events[:k+1]))
 	}
-	if n != len(got.Events) {
-		t.Fatalf("delivered count %d != recorded events %d", n, len(got.Events))
-	}
-	if n == 0 || n%DefaultBatchSize != 0 {
-		t.Fatalf("delivered %d events; want the complete prefix batches", n)
-	}
-	if n >= len(tr.Events) {
-		t.Fatalf("delivered %d events from a truncated stream of %d", n, len(tr.Events))
-	}
-	for i, e := range got.Events {
-		if e != tr.Events[i] {
-			t.Fatalf("event %d differs: %v vs %v", i, e, tr.Events[i])
+	complete := 0
+	for cut := header; cut < len(data); cut++ {
+		for complete < len(ends) && ends[complete] <= cut {
+			complete++
+		}
+		var got Trace
+		n, err := DecodeTraceInto(bytes.NewReader(data[:cut]), &got)
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut %d: error %v does not wrap ErrTruncated", cut, err)
+		}
+		if n != len(got.Events) {
+			t.Fatalf("cut %d: delivered count %d != recorded events %d", cut, n, len(got.Events))
+		}
+		if n != complete {
+			t.Fatalf("cut %d: delivered %d events, want the %d complete before the cut", cut, n, complete)
+		}
+		for i, e := range got.Events {
+			if e != tr.Events[i] {
+				t.Fatalf("cut %d: event %d differs: %v vs %v", cut, i, e, tr.Events[i])
+			}
 		}
 	}
 }

@@ -67,9 +67,6 @@ func (g *Digraph) AddArc(s, t V) {
 // Out returns the successor list of v. The caller must not mutate it.
 func (g *Digraph) Out(v V) []V { return g.out[v] }
 
-// In returns the predecessor list of v. The caller must not mutate it.
-func (g *Digraph) In(v V) []V { return g.in[v] }
-
 // OutDeg returns the out-degree of v.
 func (g *Digraph) OutDeg(v V) int { return len(g.out[v]) }
 

@@ -715,8 +715,15 @@ func (s *Server) foldStats(sess *session) {
 func (s *Server) refuse(conn net.Conn, err error) {
 	s.handshakeRefusals.Add(1)
 	s.logf("handshake refused from %v: %v", conn.RemoteAddr(), err)
+	writeError(conn, wire.HandshakeRefusedPrefix+err.Error())
+}
+
+// writeError sends msg as an Error frame, bounded by drainGrace. The
+// frame is the connection's last word, so a write failure is not
+// reported: the peer is gone either way.
+func writeError(conn net.Conn, msg string) {
 	conn.SetWriteDeadline(time.Now().Add(drainGrace))
-	wire.WriteFrame(conn, wire.FrameError, []byte(wire.HandshakeRefusedPrefix+err.Error()))
+	wire.WriteFrame(conn, wire.FrameError, []byte(msg))
 }
 
 // handshake reads the magic and opening frame off a fresh connection;
@@ -783,8 +790,7 @@ func (s *Server) handle(conn net.Conn) {
 		// cannot succeed.
 		s.sessionsRejected.Add(1)
 		s.logf("auth refused from %v: %v", conn.RemoteAddr(), err)
-		conn.SetWriteDeadline(time.Now().Add(drainGrace))
-		wire.WriteFrame(conn, wire.FrameError, []byte(wire.HandshakeRefusedPrefix+err.Error()))
+		writeError(conn, wire.HandshakeRefusedPrefix+err.Error())
 		return
 	}
 	if hello.Token != 0 {
@@ -798,21 +804,19 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	eng, err := race2d.ParseEngine(engineName)
 	if err != nil {
-		conn.SetWriteDeadline(time.Now().Add(drainGrace))
-		wire.WriteFrame(conn, wire.FrameError, []byte(err.Error()))
+		writeError(conn, err.Error())
 		return
 	}
 	sess, err := s.admit(conn, hello, tenant)
 	if err != nil {
 		s.sessionsRejected.Add(1)
-		conn.SetWriteDeadline(time.Now().Add(drainGrace))
 		msg := err.Error()
 		if errors.Is(err, errDraining) || errors.Is(err, wire.ErrQuota) {
 			// Quota refusals share the prefix but, like auth, carry a
 			// text clients classify as terminal.
 			msg = wire.HandshakeRefusedPrefix + msg
 		}
-		wire.WriteFrame(conn, wire.FrameError, []byte(msg))
+		writeError(conn, msg)
 		return
 	}
 	sess.startConsumer(eng)
@@ -874,8 +878,7 @@ func (s *Server) resume(conn net.Conn, hello wire.Hello, tenant string) {
 		}
 	}
 	s.logf("resume refused from %v: unknown token", conn.RemoteAddr())
-	conn.SetWriteDeadline(time.Now().Add(drainGrace))
-	wire.WriteFrame(conn, wire.FrameError, []byte(wire.ErrUnknownResume.Error()))
+	writeError(conn, wire.ErrUnknownResume.Error())
 }
 
 // resumeFinished answers a resume from the report store (or a hosted
@@ -901,8 +904,7 @@ func (s *Server) resumeFinished(conn net.Conn, hello wire.Hello, tenant string) 
 			// the other tenant's report.
 			s.authFailures.Add(1)
 			s.logf("resume refused from %v: token crosses tenants", conn.RemoteAddr())
-			conn.SetWriteDeadline(time.Now().Add(drainGrace))
-			wire.WriteFrame(conn, wire.FrameError, []byte(wire.HandshakeRefusedPrefix+wire.ErrAuth.Error()))
+			writeError(conn, wire.HandshakeRefusedPrefix+wire.ErrAuth.Error())
 			return true
 		}
 		s.resumes.Add(1)
@@ -921,8 +923,7 @@ func (s *Server) resumeFinished(conn net.Conn, hello wire.Hello, tenant string) 
 		// the typed tamper text — a terminal, diagnosable error — rather
 		// than a misleading "unknown token" or a crash.
 		s.logf("resume refused from %v: %v", conn.RemoteAddr(), err)
-		conn.SetWriteDeadline(time.Now().Add(drainGrace))
-		wire.WriteFrame(conn, wire.FrameError, []byte(err.Error()))
+		writeError(conn, err.Error())
 		return true
 	}
 	return false
@@ -1373,7 +1374,7 @@ func (sess *session) serve(conn net.Conn) {
 		if sess.suspend(nextSeq, err) {
 			return
 		}
-		sess.teardown(conn, nil)
+		sess.teardown(conn, "")
 		return
 	}
 
@@ -1474,13 +1475,12 @@ func (sess *session) writeAck(conn net.Conn, buf []byte, seq uint64) ([]byte, er
 }
 
 // teardown closes the pipeline, lets the engine drain, and retires the
-// session, optionally sending errPayload as a final Error frame.
-func (sess *session) teardown(conn net.Conn, errPayload []byte) {
+// session, sending errMsg as a final Error frame unless it is empty.
+func (sess *session) teardown(conn net.Conn, errMsg string) {
 	sess.queue.Close()
 	<-sess.drained
-	if errPayload != nil {
-		conn.SetWriteDeadline(time.Now().Add(drainGrace))
-		wire.WriteFrame(conn, wire.FrameError, errPayload)
+	if errMsg != "" {
+		writeError(conn, errMsg)
 	}
 	sess.srv.retire(sess)
 }
@@ -1494,12 +1494,12 @@ func (sess *session) finish(conn net.Conn, nextSeq uint64, finished bool, readEr
 	if sess.evicting.Load() && !finished {
 		srv.evictions.Add(1)
 		srv.logf("session %d: evicted (idle)", sess.id)
-		sess.teardown(conn, []byte("raced: session evicted (idle)"))
+		sess.teardown(conn, "raced: session evicted (idle)")
 		return
 	}
 	if readErr != nil {
 		srv.logf("session %d: %v", sess.id, readErr)
-		sess.teardown(conn, []byte(readErr.Error()))
+		sess.teardown(conn, readErr.Error())
 		return
 	}
 

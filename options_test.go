@@ -158,11 +158,11 @@ func TestStreamDetectorSurface(t *testing.T) {
 	if !rep.Racy() || rep.Engine != EngineVC || rep.Tasks != 3 || rep.Locations != 1 {
 		t.Fatalf("stream report = %+v", rep)
 	}
-	// The batch path observes task ids too.
+	// A per-event replay into the 2D sink observes task ids too.
 	b := New2DSink(StorageMap)
-	b.EventBatch(tr.Events)
+	tr.Replay(b)
 	if rep := b.Report(); !rep.Racy() || rep.Tasks != 3 || rep.Engine != Engine2D {
-		t.Fatalf("batched stream report = %+v", rep)
+		t.Fatalf("2D stream report = %+v", rep)
 	}
 	// Unwrap exposes the engine object behind the wrapper.
 	if u, ok := b.(interface{ Unwrap() any }); !ok || u.Unwrap() == nil {

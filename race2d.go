@@ -135,11 +135,6 @@ const (
 	StorageMap = core.StorageMap
 )
 
-// BatchSink is an event sink that can also ingest events in slabs;
-// every StreamDetector implements it. The 2D detector consumes a slab
-// one event at a time; the baselines take it whole.
-type BatchSink = fj.BatchSink
-
 // New2DSink returns the 2D detector as a StreamDetector on an explicit
 // per-location storage backend — the entry point for the storage
 // ablation and differential testing.

@@ -19,7 +19,10 @@
 # .bench_pairs/<timestamp>). The summary prints, for every end-to-end
 # metric BENCHMARK.json declares, the median and IQR per side, the
 # ratio of medians, and how many pairs the change won; then each run's
-# failed count. A run that exits non-zero stops the script.
+# failed count. A run that exits non-zero does not stop the script: it
+# is left out of the medians and the pair counts, listed under the
+# summary with its exit code and last stderr line, and makes the script
+# exit 1 at the end.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -43,16 +46,27 @@ mkdir -p "$base"
 git archive "$rev" | tar -x -C "$base"
 echo "bench-pairs: base $(git rev-parse --short "$rev") in $base, change = working tree; $n pairs of $workload, ${seconds}s each"
 
+# Failed runs, one "SIDE PAIR CODE LAST-STDERR-LINE" line each.
+failures="$out/failures"
+: >"$failures"
+
 # run SIDE DIR PAIR: one benchmark run of the tree in DIR with seed PAIR.
+# A failed run is recorded in $failures and the script goes on.
 run() {
 	local side=$1 dir=$2 pair=$3
-	local stem="$out/$side-$pair"
+	local stem="$out/$side-$pair" code=0
 	echo "bench-pairs: pair $pair: $side"
-	if ! (cd "$dir" && bash perfbench/run.sh --workload "$workload" --seed "$pair" \
-		--seconds "$seconds" --trace 0 >"$stem.out" 2>"$stem.err"); then
-		echo "bench-pairs: $side run of pair $pair failed; see $stem.err and $stem.out" >&2
-		exit 1
+	(cd "$dir" && bash perfbench/run.sh --workload "$workload" --seed "$pair" \
+		--seconds "$seconds" --trace 0 >"$stem.out" 2>"$stem.err") || code=$?
+	if [ "$code" -ne 0 ]; then
+		echo "bench-pairs: $side run of pair $pair exited $code; see $stem.err and $stem.out" >&2
+		echo "$side $pair $code $(grep -v '^[[:space:]]*$' "$stem.err" | tail -n 1)" >>"$failures"
 	fi
+}
+
+# failed SIDE PAIR: whether that run failed.
+failed() {
+	grep -q "^$1 $2 " "$failures"
 }
 
 for pair in $(seq 1 "$n"); do
@@ -79,8 +93,9 @@ decl=$(tr -d ' \n\t' <BENCHMARK.json | sed 's/.*"end_to_end":\[\([^]]*\)\].*/\1/
 	tr '}' '\n' | sed -n 's/.*"name":"\([^"]*\)".*"better":"\([a-z]*\)".*/\1 \2/p')
 
 for pair in $(seq 1 "$n"); do
-	result "$out/base-$pair.out" | sed "s/^/base $pair /"
-	result "$out/change-$pair.out" | sed "s/^/change $pair /"
+	for side in base change; do
+		failed "$side" "$pair" || result "$out/$side-$pair.out" | sed "s/^/$side $pair /"
+	done
 done | awk -v decl="$decl" -v n="$n" '
 function sortv(a, k,   i, j, t) {
 	for (i = 2; i <= k; i++) {
@@ -116,18 +131,26 @@ END {
 		bm = m_; biqr = iqr_
 		stats(name, "change")
 		cm = m_; ciqr = iqr_
-		wins = 0
+		# Pairs count only when both runs succeeded.
+		wins = 0; pairs = 0
 		for (i = 1; i <= n; i++) {
+			if (!(("base", i, name) in v) || !(("change", i, name) in v)) continue
+			pairs++
 			b = v["base", i, name]; c = v["change", i, name]
 			if ((better == "higher" && c > b) || (better == "lower" && c < b)) wins++
 		}
 		ratio = bm == 0 ? "n/a" : sprintf("%.3f", cm / bm)
-		printf "%-22s %14.6g %12.4g %14.6g %12.4g %9s %3d/%d\n", name, bm, biqr, cm, ciqr, ratio, wins, n
+		printf "%-22s %14.6g %12.4g %14.6g %12.4g %9s %3d/%d\n", name, bm, biqr, cm, ciqr, ratio, wins, pairs
 	}
 	printf "failed per run (base):  "
-	for (i = 1; i <= n; i++) printf " %s", v["base", i, "failed"]
+	for (i = 1; i <= n; i++) printf " %s", (("base", i, "failed") in v) ? v["base", i, "failed"] : "-"
 	printf "\nfailed per run (change):"
-	for (i = 1; i <= n; i++) printf " %s", v["change", i, "failed"]
+	for (i = 1; i <= n; i++) printf " %s", (("change", i, "failed") in v) ? v["change", i, "failed"] : "-"
 	printf "\n"
 }'
 echo "bench-pairs: runs kept in $out"
+if [ -s "$failures" ]; then
+	echo "bench-pairs: $(wc -l <"$failures") run(s) failed and are left out above (side pair exit last-stderr-line):"
+	sed 's/^/  /' "$failures"
+	exit 1
+fi

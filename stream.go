@@ -3,11 +3,11 @@ package race2d
 import "repro/internal/fj"
 
 // StreamDetector is a detector engine exposed as an event sink: feed it
-// an execution's event stream — one event at a time (Sink) or in slabs
-// (BatchSink) — then read the verdict. It is the streaming counterpart
-// of the Detect frontends and the contract the concurrent ingestion
-// pipeline drains into; it replaces the anonymous interfaces previously
-// returned by New2DSink and NewEngineSink.
+// an execution's event stream one event at a time (Sink), then read the
+// verdict. It is the streaming counterpart of the Detect frontends and
+// the contract the concurrent ingestion pipeline drains into; it
+// replaces the anonymous interfaces previously returned by New2DSink
+// and NewEngineSink.
 //
 // A StreamDetector is single-consumer: events must arrive from one
 // goroutine, in an order some serial fork-first execution could emit
@@ -16,7 +16,6 @@ import "repro/internal/fj"
 // DetectGoroutines' job.
 type StreamDetector interface {
 	Sink
-	BatchSink
 
 	// Report assembles a detection Report for the stream consumed so
 	// far; Tasks is inferred from the task identifiers seen.
@@ -67,15 +66,6 @@ func (s *streamDetector) observe(e Event) {
 func (s *streamDetector) Event(e Event) {
 	s.observe(e)
 	s.d.Event(e)
-}
-
-// EventBatch implements BatchSink, preserving the underlying engine's
-// batched ingestion path when it has one.
-func (s *streamDetector) EventBatch(events []Event) {
-	for _, e := range events {
-		s.observe(e)
-	}
-	fj.Deliver(s.d, events)
 }
 
 func (s *streamDetector) Report() *Report  { return report(s.engine, s.d, s.maxID+1) }
