@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	race2d [-engine 2d|vc|fasttrack|spbags] [-all] [-truth]
+//	race2d [-engine 2d|vc|fasttrack|spbags|sporder|naive] [-all] [-truth]
 //	       [-remote addr[,addr...]] [-auth name:key] [-fetch token]
 //	       program.fj
 //
@@ -42,9 +42,13 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
+// engineHelp is the -engine flag's help: every engine ParseEngine
+// accepts, by its canonical name.
+const engineHelp = "detector engine: 2d, vc, fasttrack, spbags, sporder, naive"
+
 func run(args []string) int {
 	fs := flag.NewFlagSet("race2d", flag.ContinueOnError)
-	engineName := fs.String("engine", "2d", "detector engine: 2d, vc, fasttrack, spbags")
+	engineName := fs.String("engine", "2d", engineHelp)
 	all := fs.Bool("all", false, "run every engine and compare verdicts")
 	truth := fs.Bool("truth", false, "also run the exhaustive ground-truth oracle")
 	record := fs.String("record", "", "write the execution's binary trace to this file")

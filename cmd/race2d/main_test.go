@@ -6,10 +6,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/server"
+
+	race2d "repro"
 )
 
 // capture redirects stdout around fn and returns what was printed.
@@ -85,6 +88,32 @@ func TestAllEnginesAndTruth(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestEngineHelpListsEveryEngine: the -engine help and the usage
+// comment list the same names, one per engine, and each parses back to
+// the engine it names.
+func TestEngineHelpListsEveryEngine(t *testing.T) {
+	listed := strings.Split(strings.TrimPrefix(engineHelp, "detector engine: "), ", ")
+	seen := make(map[race2d.Engine]bool)
+	for _, name := range listed {
+		e, err := race2d.ParseEngine(name)
+		if err != nil || e.String() != name {
+			t.Errorf("listed engine %q parses to %v, %v", name, e, err)
+		}
+		seen[e] = true
+	}
+	if n := int(race2d.EngineNaive) + 1; len(seen) != n || len(listed) != n {
+		t.Errorf("-engine help lists %v, want each of the %d engines once", listed, n)
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	usage := regexp.MustCompile(`\[-engine ([a-z0-9|]+)\]`).FindSubmatch(src)
+	if usage == nil || string(usage[1]) != strings.Join(listed, "|") {
+		t.Errorf("usage comment lists %q, want %q", usage, strings.Join(listed, "|"))
 	}
 }
 

@@ -69,18 +69,12 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
-	"syscall"
 
 	"repro/internal/cliflags"
 	"repro/internal/faults"
@@ -91,23 +85,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:]))
-}
-
-// tenantTable converts parsed tenant specs into the server's table
-// shape (nil when specs is empty, which means auth off).
-func tenantTable(specs []cliflags.TenantSpec) map[string]server.Tenant {
-	if len(specs) == 0 {
-		return nil
-	}
-	table := make(map[string]server.Tenant, len(specs))
-	for _, t := range specs {
-		table[t.Name] = server.Tenant{
-			Key:           t.Key,
-			MaxSessions:   t.MaxSessions,
-			MaxStoreBytes: t.MaxStoreBytes,
-		}
-	}
-	return table
 }
 
 func run(args []string) int {
@@ -122,17 +99,12 @@ func run(args []string) int {
 	replicateTo := fs.String("replicate-to", "", "comma-separated follower raced addresses to stream the report log to (requires -store-dir)")
 	replKey := fs.String("repl-key", "", "replication credential: presented to followers by -replicate-to, required of sources by this instance's replica hosting")
 	adminKey := fs.String("admin-key", "", "enable /admin endpoints on the metrics listener behind this bearer key (empty disables)")
-	var tenantKeys, tenantKeysFile string
-	cliflags.RegisterTenantKeys(fs, &tenantKeys)
-	cliflags.RegisterTenantKeysFile(fs, &tenantKeysFile)
 	chaos := fs.String("chaos", "", "inject transport faults of these classes on every session (delay|corrupt|partial|drop|reset|all; dev flag)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic fault schedule seed for -chaos")
 	chaosRate := fs.Float64("chaos-rate", 0, "per-I/O fault probability for -chaos (0 = default 0.02)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	addr, metrics := &common.Addr, &common.Metrics
-	drainTimeout := &common.DrainTimeout
 
 	logger := log.New(os.Stderr, "raced: ", log.LstdFlags)
 	cfg := server.Config{
@@ -140,35 +112,18 @@ func run(args []string) int {
 		QueueCapacity: common.QueueCap,
 		IdleTimeout:   common.IdleTimeout,
 		ResumeWindow:  *resumeWindow,
+		AdminKey:      *adminKey,
+		ReplKey:       *replKey,
 	}
 	if common.Verbose {
 		cfg.Logf = logger.Printf
 	}
-	if tenantKeys != "" && tenantKeysFile != "" {
-		logger.Print("-tenant-keys and -tenant-keys-file are mutually exclusive")
-		return 2
-	}
-	tenantSpec := tenantKeys
-	if tenantKeysFile != "" {
-		data, err := os.ReadFile(tenantKeysFile)
-		if err != nil {
-			logger.Print(err)
-			return 2
-		}
-		specs, err := cliflags.ParseTenantKeysFile(data)
-		if err != nil {
-			logger.Print(err)
-			return 2
-		}
-		cfg.Tenants = tenantTable(specs)
-	} else if tenants, err := cliflags.ParseTenantKeys(tenantSpec); err != nil {
+	tenants, err := common.LoadTenants()
+	if err != nil {
 		logger.Print(err)
 		return 2
-	} else {
-		cfg.Tenants = tenantTable(tenants)
 	}
-	cfg.AdminKey = *adminKey
-	cfg.ReplKey = *replKey
+	cfg.Tenants = server.TenantTable(tenants)
 	if *replicateTo != "" && *storeDir == "" {
 		logger.Print("-replicate-to requires -store-dir")
 		return 2
@@ -218,33 +173,10 @@ func run(args []string) int {
 	}
 	srv := server.New(cfg)
 
-	// SIGHUP swaps the tenant table live from -tenant-keys-file: rotated
-	// keys and revoked tenants apply to the next handshake, no restart.
-	if tenantKeysFile != "" {
-		hupc := make(chan os.Signal, 1)
-		signal.Notify(hupc, syscall.SIGHUP)
-		go func() {
-			for range hupc {
-				data, err := os.ReadFile(tenantKeysFile)
-				if err != nil {
-					logger.Printf("SIGHUP: %v (keeping current tenant table)", err)
-					continue
-				}
-				specs, err := cliflags.ParseTenantKeysFile(data)
-				if err != nil {
-					logger.Printf("SIGHUP: %v (keeping current tenant table)", err)
-					continue
-				}
-				srv.SetTenants(tenantTable(specs))
-				logger.Printf("SIGHUP: tenant table reloaded (%d tenants)", len(specs))
-			}
-		}()
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Print(err)
-		return 2
+	d := cliflags.Daemon{
+		Name:       "raced",
+		Log:        logger,
+		SetTenants: func(specs []cliflags.TenantSpec) { srv.SetTenants(server.TenantTable(specs)) },
 	}
 	if *chaos != "" {
 		classes, err := faults.ParseClass(*chaos)
@@ -253,59 +185,15 @@ func run(args []string) int {
 			return 2
 		}
 		if classes != 0 {
-			ln = faults.New(faults.Config{
-				Seed:    *chaosSeed,
-				Classes: classes,
-				Rate:    *chaosRate,
-			}).Listener(ln)
-			logger.Printf("chaos: injecting %v faults (seed %d)", classes, *chaosSeed)
+			d.Wrap = func(ln net.Listener) net.Listener {
+				logger.Printf("chaos: injecting %v faults (seed %d)", classes, *chaosSeed)
+				return faults.New(faults.Config{
+					Seed:    *chaosSeed,
+					Classes: classes,
+					Rate:    *chaosRate,
+				}).Listener(ln)
+			}
 		}
 	}
-	// Announce the resolved address (":0" picks a free port) on stdout so
-	// scripts and the serve-smoke harness can find it.
-	fmt.Printf("raced: listening on %s\n", ln.Addr())
-	os.Stdout.Sync()
-
-	var obsSrv *http.Server
-	if *metrics != "" {
-		mln, err := net.Listen("tcp", *metrics)
-		if err != nil {
-			logger.Print(err)
-			return 2
-		}
-		fmt.Printf("raced: metrics on http://%s\n", mln.Addr())
-		obsSrv = &http.Server{Handler: srv.Handler()}
-		go obsSrv.Serve(mln)
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	var draining atomic.Bool
-	done := make(chan int, 1)
-	go func() {
-		sig := <-sigc
-		draining.Store(true)
-		logger.Printf("%v: draining (%v budget)", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		code := 0
-		if err := srv.Shutdown(ctx); err != nil {
-			logger.Printf("drain incomplete: %v", err)
-			srv.Close()
-			code = 1
-		}
-		if obsSrv != nil {
-			obsSrv.Close()
-		}
-		done <- code
-	}()
-
-	err = srv.Serve(ln)
-	if draining.Load() {
-		code := <-done
-		logger.Print("shut down")
-		return code
-	}
-	logger.Print(err)
-	return 2
+	return common.Run(srv, d)
 }

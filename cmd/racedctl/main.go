@@ -23,8 +23,10 @@
 // to a bare TCP probe (liveness only).
 //
 // The shared flags (-queue-cap, -idle-timeout, -drain-timeout, -addr,
-// -metrics, -tenant-keys, -tenant-keys-file, -v)
-// spell and default exactly as in raced — see internal/cliflags. With
+// -metrics, -tenant-keys, -tenant-keys-file, -v) spell and default
+// exactly as in raced, and the two share one lifecycle: the same
+// announcements, SIGHUP reload, drain and exit codes (see
+// internal/cliflags). With
 // -tenant-keys (or -tenant-keys-file, which SIGHUP reloads live) the
 // gateway refuses bad or missing tenant credentials at the edge,
 // before a backend connection is spent; the Hello still crosses
@@ -39,17 +41,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"sync/atomic"
-	"syscall"
 
 	"repro/internal/cliflags"
 	"repro/internal/cluster"
@@ -83,6 +79,16 @@ func parseBackends(spec string) ([]cluster.Backend, error) {
 	return out, nil
 }
 
+// edgeTenants keeps what the gateway checks of each tenant: its key.
+// Quotas are the backends' to enforce against their own stores.
+func edgeTenants(specs []cliflags.TenantSpec) map[string]string {
+	table := make(map[string]string, len(specs))
+	for _, t := range specs {
+		table[t.Name] = t.Key
+	}
+	return table
+}
+
 func run(args []string) int {
 	fs := flag.NewFlagSet("racedctl", flag.ContinueOnError)
 	var common cliflags.Common
@@ -92,9 +98,6 @@ func run(args []string) int {
 	probeInterval := fs.Duration("probe-interval", 0, "health probe cadence (0 = default 500ms)")
 	probeFails := fs.Int("probe-fails", 0, "consecutive probe failures before a backend is down (0 = default 3)")
 	sessionTTL := fs.Duration("session-ttl", 0, "forget resume-token routes unused this long (0 = default 10m)")
-	var tenantKeys, tenantKeysFile string
-	cliflags.RegisterTenantKeys(fs, &tenantKeys)
-	cliflags.RegisterTenantKeysFile(fs, &tenantKeysFile)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -105,27 +108,11 @@ func run(args []string) int {
 		logger.Print(err)
 		return 2
 	}
-	if tenantKeys != "" && tenantKeysFile != "" {
-		logger.Print("-tenant-keys and -tenant-keys-file are mutually exclusive")
-		return 2
-	}
-	var tenants []cliflags.TenantSpec
-	if tenantKeysFile != "" {
-		data, err := os.ReadFile(tenantKeysFile)
-		if err != nil {
-			logger.Print(err)
-			return 2
-		}
-		tenants, err = cliflags.ParseTenantKeysFile(data)
-		if err != nil {
-			logger.Print(err)
-			return 2
-		}
-	} else if tenants, err = cliflags.ParseTenantKeys(tenantKeys); err != nil {
+	tenants, err := common.LoadTenants()
+	if err != nil {
 		logger.Print(err)
 		return 2
 	}
-
 	cfg := cluster.Config{
 		Backends:      backends,
 		Replication:   *replication,
@@ -137,14 +124,7 @@ func run(args []string) int {
 		// relay buffers for that many encoded events (~16 bytes each,
 		// generously, before compression).
 		BufBytes: common.QueueCap * 16,
-	}
-	if len(tenants) > 0 {
-		cfg.Tenants = make(map[string]string, len(tenants))
-		for _, t := range tenants {
-			// The gateway checks credentials only; quotas are the
-			// backends' to enforce against their own stores.
-			cfg.Tenants[t.Name] = t.Key
-		}
+		Tenants:  edgeTenants(tenants),
 	}
 	if common.Verbose {
 		cfg.Logf = logger.Printf
@@ -154,85 +134,10 @@ func run(args []string) int {
 		logger.Print(err)
 		return 2
 	}
-
-	// SIGHUP swaps the edge tenant table live from -tenant-keys-file,
-	// mirroring raced: rotated keys bite the next handshake, no restart.
-	if tenantKeysFile != "" {
-		hupc := make(chan os.Signal, 1)
-		signal.Notify(hupc, syscall.SIGHUP)
-		go func() {
-			for range hupc {
-				data, err := os.ReadFile(tenantKeysFile)
-				if err != nil {
-					logger.Printf("SIGHUP: %v (keeping current tenant table)", err)
-					continue
-				}
-				specs, err := cliflags.ParseTenantKeysFile(data)
-				if err != nil {
-					logger.Printf("SIGHUP: %v (keeping current tenant table)", err)
-					continue
-				}
-				table := make(map[string]string, len(specs))
-				for _, t := range specs {
-					table[t.Name] = t.Key
-				}
-				gw.SetTenants(table)
-				logger.Printf("SIGHUP: tenant table reloaded (%d tenants)", len(specs))
-			}
-		}()
-	}
-
-	ln, err := net.Listen("tcp", common.Addr)
-	if err != nil {
-		logger.Print(err)
-		return 2
-	}
-	// Announce the resolved address (":0" picks a free port) on stdout so
-	// scripts and the cluster-smoke harness can find it.
-	fmt.Printf("racedctl: listening on %s\n", ln.Addr())
-	fmt.Printf("racedctl: routing over %d backend(s)\n", len(backends))
-	os.Stdout.Sync()
-
-	var obsSrv *http.Server
-	if common.Metrics != "" {
-		mln, err := net.Listen("tcp", common.Metrics)
-		if err != nil {
-			logger.Print(err)
-			return 2
-		}
-		fmt.Printf("racedctl: metrics on http://%s\n", mln.Addr())
-		obsSrv = &http.Server{Handler: gw.Handler()}
-		go obsSrv.Serve(mln)
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	var draining atomic.Bool
-	done := make(chan int, 1)
-	go func() {
-		sig := <-sigc
-		draining.Store(true)
-		logger.Printf("%v: draining (%v budget)", sig, common.DrainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), common.DrainTimeout)
-		defer cancel()
-		code := 0
-		if err := gw.Shutdown(ctx); err != nil {
-			logger.Printf("drain incomplete: %v", err)
-			gw.Close()
-			code = 1
-		}
-		if obsSrv != nil {
-			obsSrv.Close()
-		}
-		done <- code
-	}()
-
-	err = gw.Serve(ln)
-	if draining.Load() {
-		code := <-done
-		logger.Print("shut down")
-		return code
-	}
-	logger.Print(err)
-	return 2
+	return common.Run(gw, cliflags.Daemon{
+		Name:       "racedctl",
+		Log:        logger,
+		Notes:      []string{fmt.Sprintf("routing over %d backend(s)", len(backends))},
+		SetTenants: func(specs []cliflags.TenantSpec) { gw.SetTenants(edgeTenants(specs)) },
+	})
 }

@@ -1,9 +1,11 @@
 // Package cliflags is the single source of truth for the flag surface
-// the wire-protocol binaries (raced, racedctl) share. Both register
-// through it, so the shared knobs — -addr, -metrics, -queue-cap,
-// -idle-timeout, -drain-timeout, -tenant-keys, -v — spell, default,
-// and document themselves identically in every binary; an operator who
-// knows one front-end knows them all.
+// and the process lifecycle the wire-protocol binaries (raced,
+// racedctl) share. Both register through it, so the shared knobs —
+// -addr, -metrics, -queue-cap, -idle-timeout, -drain-timeout,
+// -tenant-keys, -tenant-keys-file, -v — spell, default, and document
+// themselves identically in every binary; and both run through
+// Common.Run, so they announce, reload and drain identically too. An
+// operator who knows one front-end knows them all.
 package cliflags
 
 import (
@@ -39,11 +41,23 @@ type Common struct {
 	DrainTimeout time.Duration
 	// Verbose enables lifecycle logging.
 	Verbose bool
+	// TenantKeys is the inline tenant table (-tenant-keys) and
+	// TenantKeysFile the file holding one (-tenant-keys-file); at most
+	// one may be set. LoadTenants reads whichever is.
+	TenantKeys, TenantKeysFile string
 }
 
 // Register installs the shared flag set on fs. defaultAddr is the only
 // per-binary degree of freedom (raced and racedctl listen on different
 // well-known ports); everything else is identical by construction.
+//
+// raced uses -tenant-keys to require and verify tenant credentials;
+// racedctl uses the same spelling to refuse bad credentials at the
+// gateway edge before a backend connection is spent. -tenant-keys-file
+// holds the same grammar in a file, so keys stay out of process
+// listings and the table can be swapped live: Run re-reads it on
+// SIGHUP, and raced's /admin/tenants PUT accepts the same format as its
+// request body.
 func Register(fs *flag.FlagSet, defaultAddr string, c *Common) {
 	fs.StringVar(&c.Addr, "addr", defaultAddr, "session listen address")
 	fs.StringVar(&c.Metrics, "metrics", "", "observability listen address for /healthz and /metrics (empty disables)")
@@ -51,24 +65,9 @@ func Register(fs *flag.FlagSet, defaultAddr string, c *Common) {
 	fs.DurationVar(&c.IdleTimeout, "idle-timeout", 0, "evict sessions idle this long (0 disables)")
 	fs.DurationVar(&c.DrainTimeout, "drain-timeout", DefaultDrainTimeout, "graceful shutdown budget before hard close")
 	fs.BoolVar(&c.Verbose, "v", false, "log session lifecycle events")
-}
-
-// RegisterTenantKeys installs the shared -tenant-keys flag. raced uses
-// it to require and verify tenant credentials; racedctl uses the same
-// spelling to refuse bad credentials at the gateway edge before a
-// backend connection is spent. ParseTenantKeys decodes the value.
-func RegisterTenantKeys(fs *flag.FlagSet, spec *string) {
-	fs.StringVar(spec, "tenant-keys", "",
+	fs.StringVar(&c.TenantKeys, "tenant-keys", "",
 		"require tenant auth: name=key[:maxSessions[:maxStoreBytes]],... (empty = no auth)")
-}
-
-// RegisterTenantKeysFile installs the shared -tenant-keys-file flag:
-// the -tenant-keys grammar read from a file, so keys stay out of
-// process listings and the table can be swapped live — raced and
-// racedctl both re-read the file on SIGHUP, and raced's /admin/tenants
-// PUT accepts the same format as its request body.
-func RegisterTenantKeysFile(fs *flag.FlagSet, path *string) {
-	fs.StringVar(path, "tenant-keys-file", "",
+	fs.StringVar(&c.TenantKeysFile, "tenant-keys-file", "",
 		"file of tenant auth entries, one name=key[:maxSessions[:maxStoreBytes]] per line ('#' comments); reloaded on SIGHUP; mutually exclusive with -tenant-keys")
 }
 

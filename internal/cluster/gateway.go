@@ -10,12 +10,12 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -818,35 +818,33 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		st := g.Stats()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprintf(w, "racedctl_sessions_routed_total %d\n", st.Routed)
-		fmt.Fprintf(w, "racedctl_sessions_resumed_total %d\n", st.Resumed)
-		fmt.Fprintf(w, "racedctl_reroutes_total %d\n", st.Reroutes)
-		fmt.Fprintf(w, "racedctl_detaches_total %d\n", st.Detaches)
-		fmt.Fprintf(w, "racedctl_refusals_total %d\n", st.Refusals)
-		fmt.Fprintf(w, "racedctl_auth_refusals_total %d\n", st.AuthRefusals)
-		fmt.Fprintf(w, "racedctl_backend_dial_failures_total %d\n", st.DialFails)
-		fmt.Fprintf(w, "racedctl_frames_proxied_total %d\n", st.Frames)
-		fmt.Fprintf(w, "racedctl_bytes_proxied_total %d\n", st.Bytes)
-		fmt.Fprintf(w, "racedctl_fetch_fanouts_total %d\n", st.FetchFanouts)
-		fmt.Fprintf(w, "racedctl_fetch_fanout_hits_total %d\n", st.FetchFanoutHits)
-		fmt.Fprintf(w, "racedctl_tenant_reloads_total %d\n", st.TenantReloads)
-		fmt.Fprintf(w, "racedctl_session_table_size %d\n", st.Table)
-		fmt.Fprintf(w, "racedctl_conduits_live %d\n", st.Conduits)
-		// Backends in address order, so the exposition is stable.
+		var x obs.Exposition
+		x.Counter("racedctl_sessions_routed_total", "Fresh sessions routed to a backend.", st.Routed)
+		x.Counter("racedctl_sessions_resumed_total", "Resumed sessions routed by their token.", st.Resumed)
+		x.Counter("racedctl_reroutes_total", "Resumed sessions moved off their home backend.", st.Reroutes)
+		x.Counter("racedctl_detaches_total", "Conduits cut because their backend left the ring.", st.Detaches)
+		x.Counter("racedctl_refusals_total", "Clients refused because no backend could take them.", st.Refusals)
+		x.Counter("racedctl_auth_refusals_total", "Handshakes refused at the edge for bad or missing tenant credentials.", st.AuthRefusals)
+		x.Counter("racedctl_backend_dial_failures_total", "Backend dials that failed.", st.DialFails)
+		x.Counter("racedctl_frames_proxied_total", "Frames relayed in either direction.", st.Frames)
+		x.Counter("racedctl_bytes_proxied_total", "Bytes relayed in either direction.", st.Bytes)
+		x.Counter("racedctl_fetch_fanouts_total", "Unknown-resume fetches fanned out to the other backends.", st.FetchFanouts)
+		x.Counter("racedctl_fetch_fanout_hits_total", "Fanned-out fetches another backend answered.", st.FetchFanoutHits)
+		x.Counter("racedctl_tenant_reloads_total", "Edge tenant table replacements (SIGHUP).", st.TenantReloads)
+		x.Gauge("racedctl_session_table_size", "Resume tokens with a known home backend.", uint64(st.Table))
+		x.Gauge("racedctl_conduits_live", "Client connections being relayed now.", uint64(st.Conduits))
 		members := g.ring.Members()
-		addrs := make([]string, 0, len(members))
-		for addr := range members {
-			addrs = append(addrs, addr)
-		}
-		sort.Strings(addrs)
-		for _, addr := range addrs {
-			upv := 0
-			if members[addr] == StateUp {
-				upv = 1
+		up := make(map[string]uint64, len(members))
+		routed := make(map[string]uint64, len(members))
+		for addr, state := range members {
+			up[addr], routed[addr] = 0, st.RoutedBy[addr]
+			if state == StateUp {
+				up[addr] = 1
 			}
-			fmt.Fprintf(w, "racedctl_backend_up{backend=%q} %d\n", addr, upv)
-			fmt.Fprintf(w, "racedctl_backend_sessions_routed_total{backend=%q} %d\n", addr, st.RoutedBy[addr])
 		}
+		x.GaugeVec("racedctl_backend_up", "1 while the backend is routable.", "backend", up)
+		x.CounterVec("racedctl_backend_sessions_routed_total", "Sessions each backend welcomed through the gateway.", "backend", routed)
+		x.WriteTo(w)
 	})
 	return mux
 }

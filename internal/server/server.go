@@ -77,15 +77,11 @@ import (
 	"crypto/rand"
 	"crypto/subtle"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -329,6 +325,16 @@ func (s *Server) Tenants() map[string]Tenant {
 		out[name] = t
 	}
 	return out
+}
+
+// TenantTable converts parsed -tenant-keys entries into the table
+// shape Config.Tenants and SetTenants take.
+func TenantTable(specs []cliflags.TenantSpec) map[string]Tenant {
+	table := make(map[string]Tenant, len(specs))
+	for _, t := range specs {
+		table[t.Name] = Tenant{Key: t.Key, MaxSessions: t.MaxSessions, MaxStoreBytes: t.MaxStoreBytes}
+	}
+	return table
 }
 
 // SetTenants atomically replaces the live tenant table — the admin PUT
@@ -974,282 +980,6 @@ func (s *Server) Stats() obs.Stats {
 	st.WireBytesBlocks = s.wireBytesBlocks.Load()
 	st.WireBytesRaw = s.wireBytesRaw.Load()
 	return st
-}
-
-// Handler returns the observability endpoints: /healthz (liveness plus
-// a live-session count) and /metrics (Prometheus text exposition of the
-// Stats counters).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		status := "ok"
-		if s.Draining() {
-			// 503 tells probers (and cluster gateways) to take this
-			// backend out of rotation; the body says why.
-			status = "draining"
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-		}
-		json.NewEncoder(w).Encode(map[string]any{
-			"status":        status,
-			"live_sessions": s.Live(),
-		})
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		st := s.Stats()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprintf(w, "raced_sessions_total %d\n", st.Sessions)
-		fmt.Fprintf(w, "raced_sessions_live %d\n", s.Live())
-		draining := 0
-		if s.Draining() {
-			draining = 1
-		}
-		fmt.Fprintf(w, "raced_draining %d\n", draining)
-		fmt.Fprintf(w, "raced_sessions_rejected_total %d\n", st.SessionsRejected)
-		fmt.Fprintf(w, "raced_evictions_total %d\n", st.Evictions)
-		fmt.Fprintf(w, "raced_frames_total %d\n", st.Frames)
-		fmt.Fprintf(w, "raced_wire_bytes_total %d\n", st.WireBytes)
-		fmt.Fprintf(w, "raced_events_buffered_total %d\n", st.EventsBuffered)
-		fmt.Fprintf(w, "raced_producer_stalls_total %d\n", st.ProducerStalls)
-		fmt.Fprintf(w, "raced_queue_depth_max %d\n", st.MaxQueueDepth)
-		fmt.Fprintf(w, "raced_handshake_refusals_total %d\n", st.HandshakeRefusals)
-		fmt.Fprintf(w, "raced_resumes_total %d\n", st.Resumes)
-		fmt.Fprintf(w, "raced_dups_dropped_total %d\n", st.DupsDropped)
-		fmt.Fprintf(w, "raced_wire_blocks_total %d\n", st.WireBlocks)
-		fmt.Fprintf(w, "raced_wire_bytes_blocks_total %d\n", st.WireBytesBlocks)
-		fmt.Fprintf(w, "raced_wire_bytes_raw_total %d\n", st.WireBytesRaw)
-		fmt.Fprintf(w, "raced_compress_ratio %g\n", st.CompressRatio())
-		fmt.Fprintf(w, "raced_auth_failures_total %d\n", s.authFailures.Load())
-		fmt.Fprintf(w, "raced_quota_refusals_total %d\n", s.quotaRefusals.Load())
-
-		ss := s.store.Stats()
-		fmt.Fprintf(w, "raced_store_records %d\n", ss.Records)
-		fmt.Fprintf(w, "raced_store_bytes %d\n", ss.Bytes)
-		fmt.Fprintf(w, "raced_store_segments %d\n", ss.Segments)
-		fmt.Fprintf(w, "raced_store_puts_total %d\n", ss.Puts)
-		// The server-side counter, not ss.PutFailures: the store counts
-		// its own refusals too, and summing would double-count every
-		// failed persist the server observed.
-		fmt.Fprintf(w, "raced_store_put_failures_total %d\n", s.storePutErrors.Load())
-		fmt.Fprintf(w, "raced_store_gets_total %d\n", ss.Gets)
-		fmt.Fprintf(w, "raced_store_hits_total %d\n", ss.Hits)
-		fmt.Fprintf(w, "raced_store_compactions_total %d\n", ss.Compactions)
-		fmt.Fprintf(w, "raced_store_segments_pruned_total %d\n", ss.SegmentsPruned)
-		fmt.Fprintf(w, "raced_store_verify_failures_total %d\n", ss.VerifyFailures)
-
-		// Per-tenant gauges, sorted so the exposition is stable. Tenants
-		// appear once they have a live session or stored bytes; the
-		// anonymous tenant of an open server is labeled "".
-		s.mu.Lock()
-		tenants := make(map[string]bool, len(s.tenantSessions))
-		live := make(map[string]int, len(s.tenantSessions))
-		for t, n := range s.tenantSessions {
-			tenants[t], live[t] = true, n
-		}
-		s.mu.Unlock()
-		for t := range ss.TenantBytes {
-			tenants[t] = true
-		}
-		names := make([]string, 0, len(tenants))
-		for t := range tenants {
-			names = append(names, t)
-		}
-		sort.Strings(names)
-		for _, t := range names {
-			fmt.Fprintf(w, "raced_tenant_sessions_live{tenant=%q} %d\n", t, live[t])
-			fmt.Fprintf(w, "raced_tenant_store_bytes{tenant=%q} %d\n", t, ss.TenantBytes[t])
-			fmt.Fprintf(w, "raced_tenant_store_records{tenant=%q} %d\n", t, ss.TenantRecords[t])
-		}
-
-		// Live-reconfiguration counters and per-tenant auth refusals
-		// (cardinality bounded: only names in the live table are counted).
-		fmt.Fprintf(w, "raced_tenant_reloads_total %d\n", s.tenantReloads.Load())
-		fmt.Fprintf(w, "raced_tenant_revoked_sessions_total %d\n", s.tenantRevocations.Load())
-		s.tmu.RLock()
-		refusals := make(map[string]uint64, len(s.tenantAuthRefusals))
-		for t, n := range s.tenantAuthRefusals {
-			refusals[t] = n
-		}
-		s.tmu.RUnlock()
-		rnames := make([]string, 0, len(refusals))
-		for t := range refusals {
-			rnames = append(rnames, t)
-		}
-		sort.Strings(rnames)
-		for _, t := range rnames {
-			fmt.Fprintf(w, "raced_tenant_auth_refusals_total{tenant=%q} %d\n", t, refusals[t])
-		}
-
-		// Replication source side: present when the store replicates
-		// outward (detected by the Source upcast, so the server needs no
-		// store-type knowledge).
-		if src, ok := s.store.(interface{ Source() *repl.Source }); ok {
-			rst := src.Source().Stats()
-			fmt.Fprintf(w, "raced_repl_followers %d\n", rst.Followers)
-			fmt.Fprintf(w, "raced_repl_followers_connected %d\n", rst.Connected)
-			fmt.Fprintf(w, "raced_repl_followers_degraded %d\n", rst.Degraded)
-			fmt.Fprintf(w, "raced_repl_followers_failed %d\n", rst.Failed)
-			fmt.Fprintf(w, "raced_repl_records_sent_total %d\n", rst.RecordsSent)
-			fmt.Fprintf(w, "raced_repl_acks_total %d\n", rst.AcksReceived)
-			fmt.Fprintf(w, "raced_repl_reconnects_total %d\n", rst.Reconnects)
-			fmt.Fprintf(w, "raced_repl_degraded_events_total %d\n", rst.DegradedEvents)
-			addrs := make([]string, 0, len(rst.Acked))
-			for a := range rst.Acked {
-				addrs = append(addrs, a)
-			}
-			sort.Strings(addrs)
-			for _, a := range addrs {
-				fmt.Fprintf(w, "raced_repl_follower_acked{follower=%q} %d\n", a, rst.Acked[a])
-			}
-		}
-		// Follower side: the replica logs this backend hosts for others.
-		if s.cfg.Replicas != nil {
-			fst := s.cfg.Replicas.Stats()
-			fmt.Fprintf(w, "raced_replica_sources %d\n", fst.Sources)
-			fmt.Fprintf(w, "raced_replica_connections %d\n", fst.Connections)
-			fmt.Fprintf(w, "raced_replica_streams_total %d\n", fst.Served)
-			fmt.Fprintf(w, "raced_replica_records_total %d\n", fst.Records)
-			fmt.Fprintf(w, "raced_replica_refusals_total %d\n", fst.Refused)
-			srcs := make([]string, 0, len(fst.Positions))
-			for id := range fst.Positions {
-				srcs = append(srcs, id)
-			}
-			sort.Strings(srcs)
-			for _, id := range srcs {
-				fmt.Fprintf(w, "raced_replica_position{source=%q} %d\n", id, fst.Positions[id])
-			}
-		}
-	})
-
-	// Admin surface: authenticated tenant-table reads and swaps, and a
-	// per-tenant report listing. Disabled (403 on everything) unless the
-	// server was started with an AdminKey; the key rides the standard
-	// Bearer scheme and is compared constant-time.
-	admin := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			const scheme = "Bearer "
-			auth := r.Header.Get("Authorization")
-			if s.cfg.AdminKey == "" || !strings.HasPrefix(auth, scheme) ||
-				subtle.ConstantTimeCompare([]byte(strings.TrimPrefix(auth, scheme)), []byte(s.cfg.AdminKey)) != 1 {
-				http.Error(w, "admin: forbidden", http.StatusForbidden)
-				return
-			}
-			h(w, r)
-		}
-	}
-	mux.HandleFunc("/admin/tenants", admin(s.handleAdminTenants))
-	mux.HandleFunc("/admin/reports", admin(s.handleAdminReports))
-	return mux
-}
-
-// handleAdminTenants serves the live tenant table. GET returns the
-// table's names and quotas — keys are write-only and never echoed. PUT
-// replaces the whole table from a body in the -tenant-keys-file format
-// (see cliflags.ParseTenantKeysFile); an empty body turns auth off.
-// Rotations and revocations take effect on the next handshake, exactly
-// as SetTenants documents.
-func (s *Server) handleAdminTenants(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		type tenantInfo struct {
-			MaxSessions   int   `json:"max_sessions"`
-			MaxStoreBytes int64 `json:"max_store_bytes"`
-			LiveSessions  int   `json:"live_sessions"`
-		}
-		table := s.Tenants()
-		s.mu.Lock()
-		live := make(map[string]int, len(s.tenantSessions))
-		for t, n := range s.tenantSessions {
-			live[t] = n
-		}
-		s.mu.Unlock()
-		out := make(map[string]tenantInfo, len(table))
-		for name, t := range table {
-			out[name] = tenantInfo{
-				MaxSessions:   t.MaxSessions,
-				MaxStoreBytes: t.MaxStoreBytes,
-				LiveSessions:  live[name],
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"enabled": len(table) > 0, "tenants": out})
-	case http.MethodPut:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			http.Error(w, "admin: reading body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		specs, err := cliflags.ParseTenantKeysFile(body)
-		if err != nil {
-			http.Error(w, "admin: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		table := make(map[string]Tenant, len(specs))
-		for _, sp := range specs {
-			table[sp.Name] = Tenant{Key: sp.Key, MaxSessions: sp.MaxSessions, MaxStoreBytes: sp.MaxStoreBytes}
-		}
-		s.SetTenants(table)
-		s.logf("admin: tenant table replaced (%d tenants)", len(table))
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"enabled": len(table) > 0, "count": len(table)})
-	default:
-		w.Header().Set("Allow", "GET, PUT")
-		http.Error(w, "admin: method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-// handleAdminReports lists a tenant's persisted reports
-// (GET /admin/reports?tenant=X), or exports one report's stored JSON
-// verbatim (&token=<hex> — the bytes a resuming client would receive).
-func (s *Server) handleAdminReports(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", "GET")
-		http.Error(w, "admin: method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	tenant := r.URL.Query().Get("tenant")
-	if tok := r.URL.Query().Get("token"); tok != "" {
-		token, err := strconv.ParseUint(tok, 16, 64)
-		if err != nil {
-			http.Error(w, "admin: bad token (want hex)", http.StatusBadRequest)
-			return
-		}
-		rec, err := s.store.Get(token)
-		if err != nil || rec.Tenant != tenant {
-			// Absent, expired, tampered-at, or another tenant's: one
-			// answer for all of them, like the wire surface.
-			http.Error(w, "admin: report not found", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(rec.JSON)
-		return
-	}
-	recs, err := s.store.List()
-	if err != nil {
-		http.Error(w, "admin: listing store: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	type reportInfo struct {
-		Token   string `json:"token"`
-		Session uint64 `json:"session"`
-		Flags   uint64 `json:"flags"`
-	}
-	out := []reportInfo{}
-	for _, rec := range recs {
-		if rec.Tenant != tenant {
-			continue
-		}
-		out = append(out, reportInfo{
-			Token:   strconv.FormatUint(rec.Token, 16),
-			Session: rec.Session,
-			Flags:   rec.Flags,
-		})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"tenant": tenant, "reports": out})
 }
 
 // ---- per-session pipeline ----------------------------------------------

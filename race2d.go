@@ -186,8 +186,8 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine converts a name ("2d", "vc", "fasttrack", "spbags") to an
-// Engine.
+// ParseEngine converts a name ("2d", "vc", "fasttrack", "spbags",
+// "sporder", "naive", or an alias) to an Engine.
 func ParseEngine(s string) (Engine, error) {
 	switch strings.ToLower(s) {
 	case "2d", "race2d":

@@ -12,7 +12,11 @@
 #   4. SIGKILL of the backend carrying a live session mid-stream is
 #      invisible: the client's verdict stays byte-identical to local,
 #      and /metrics proves a re-route (racedctl_reroutes_total > 0);
-#   5. SIGTERM drains the gateway gracefully (exit 0).
+#   5. SIGTERM drains the gateway gracefully (exit 0);
+#   6. a second racedctl started with -tenant-keys-file applies a
+#      rewritten file on SIGHUP: racedctl_tenant_reloads_total counts
+#      the reload, the old key is refused at the edge, the new one
+#      routes, and SIGTERM still drains it (exit 0).
 set -euo pipefail
 SMOKE=cluster-smoke
 . "$(dirname "$0")/lib.sh"
@@ -147,4 +151,55 @@ if [ "$gcode" != 0 ]; then
 	exit 1
 fi
 echo "cluster-smoke: graceful gateway SIGTERM ok"
+
+# 6. SIGHUP reload of the gateway's -tenant-keys-file, over the
+#    backends still alive. The backends run open, so the edge table
+#    alone decides which key is admitted.
+live_spec=
+for i in 0 1 2; do
+	[ "$i" = "$carrier" ] && continue
+	live_spec="$live_spec${live_spec:+,}${backend_addrs[$i]}=$(metrics_addr "backend$((i + 1))")"
+done
+prog=cmd/race2d/testdata/figure2.fj
+lcode=0
+"$tmp/race2d" -json "$prog" >"$tmp/local.out" 2>/dev/null || lcode=$?
+printf 'acme=k1\n' >"$tmp/keys"
+start_fleet_proc hupgw 'racedctl: listening on ' "$tmp/racedctl" \
+	-addr 127.0.0.1:0 -metrics 127.0.0.1:0 -backends "$live_spec" \
+	-probe-interval 100ms -tenant-keys-file "$tmp/keys" -v
+hup_pid=$fleet_pid
+hmaddr=$(wait_line "$tmp/hupgw.out" 'racedctl: metrics on http://')
+rcode=0
+"$tmp/race2d" -remote "$addr" -auth acme:k1 -json "$prog" \
+	>"$tmp/h1.out" 2>/dev/null || rcode=$?
+if [ "$lcode" != "$rcode" ] || ! cmp -s "$tmp/local.out" "$tmp/h1.out"; then
+	echo "cluster-smoke: keys-file gateway authed run broken (exit $lcode vs $rcode)" >&2
+	exit 1
+fi
+printf '# rotated by cluster-smoke\nacme=k2\n' >"$tmp/keys"
+kill -HUP "$hup_pid"
+wait_metric "$hmaddr" racedctl_tenant_reloads_total 1
+code=0
+"$tmp/race2d" -remote "$addr" -auth acme:k1 -json "$prog" \
+	>/dev/null 2>"$tmp/hup.err" || code=$?
+if [ "$code" = 0 ] || ! grep -q 'invalid tenant credentials' "$tmp/hup.err"; then
+	echo "cluster-smoke: SIGHUP-rotated key still admitted at the edge (exit $code)" >&2
+	exit 1
+fi
+rcode=0
+"$tmp/race2d" -remote "$addr" -auth acme:k2 -json "$prog" \
+	>"$tmp/h2.out" 2>/dev/null || rcode=$?
+if [ "$lcode" != "$rcode" ] || ! cmp -s "$tmp/local.out" "$tmp/h2.out"; then
+	echo "cluster-smoke: post-SIGHUP key run differs (exit $lcode vs $rcode)" >&2
+	exit 1
+fi
+kill -TERM "$hup_pid"
+gcode=0
+wait "$hup_pid" || gcode=$?
+if [ "$gcode" != 0 ]; then
+	echo "cluster-smoke: keys-file racedctl exit $gcode after SIGTERM (want 0)" >&2
+	cat "$tmp/hupgw.err" >&2
+	exit 1
+fi
+echo "cluster-smoke: gateway SIGHUP reload live — old key refused, new accepted"
 echo "cluster-smoke: PASS"
