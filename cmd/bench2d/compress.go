@@ -124,10 +124,7 @@ func runCompressCell(tr *fj.Trace, baseline *race2d.Report) (time.Duration, obs.
 	if err != nil {
 		panic(fmt.Sprintf("bench: compress: %v", err))
 	}
-	// Queue headroom of a few batches keeps encode (client), decode
-	// (server) and detection pipelined; at the default capacity one
-	// big batch fills the queue and the session runs lock-step.
-	srv := server.New(server.Config{QueueCapacity: 4 * compressFrameEvents})
+	srv := server.New(server.Config{})
 	go srv.Serve(ln)
 	defer srv.Close()
 

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	raced [-addr :7471] [-metrics :7472] [-max-sessions 64]
-//	      [-queue-cap 4096] [-idle-timeout 0] [-resume-window 1m]
+//	      [-idle-timeout 0] [-resume-window 1m]
 //	      [-store-dir dir] [-retention 0] [-no-sync]
 //	      [-replicate-to addr,...] [-repl-key key]
 //	      [-tenant-keys name=key[:maxSessions[:maxStoreBytes]],...]
@@ -15,7 +15,7 @@
 //	      [-chaos none] [-chaos-seed 1] [-chaos-rate 0.02] [-v]
 //
 // On SIGINT/SIGTERM the server drains gracefully: every open session
-// stops reading, finishes detecting what it buffered, and receives a
+// stops reading, detects the frames it already read, and receives a
 // Report flagged partial.
 //
 // # Replication
@@ -108,12 +108,11 @@ func run(args []string) int {
 
 	logger := log.New(os.Stderr, "raced: ", log.LstdFlags)
 	cfg := server.Config{
-		MaxSessions:   *maxSessions,
-		QueueCapacity: common.QueueCap,
-		IdleTimeout:   common.IdleTimeout,
-		ResumeWindow:  *resumeWindow,
-		AdminKey:      *adminKey,
-		ReplKey:       *replKey,
+		MaxSessions:  *maxSessions,
+		IdleTimeout:  common.IdleTimeout,
+		ResumeWindow: *resumeWindow,
+		AdminKey:     *adminKey,
+		ReplKey:      *replKey,
 	}
 	if common.Verbose {
 		cfg.Logf = logger.Printf

@@ -14,19 +14,18 @@
 //
 //	racedctl -backends host:port[=healthhost:port],... [-addr :7470]
 //	         [-metrics :7473] [-replication 64] [-probe-interval 500ms]
-//	         [-probe-fails 3] [-session-ttl 10m] [-queue-cap 4096]
-//	         [-idle-timeout 0] [-drain-timeout 10s] [-v]
+//	         [-probe-fails 3] [-session-ttl 10m] [-idle-timeout 0]
+//	         [-drain-timeout 10s] [-v]
 //
 // Each -backends entry is a raced wire address, optionally followed by
 // =metricsaddr; with a metrics address the gateway probes HTTP
 // /healthz (and sees drains as they start), without one it falls back
 // to a bare TCP probe (liveness only).
 //
-// The shared flags (-queue-cap, -idle-timeout, -drain-timeout, -addr,
-// -metrics, -tenant-keys, -tenant-keys-file, -v) spell and default
-// exactly as in raced, and the two share one lifecycle: the same
-// announcements, SIGHUP reload, drain and exit codes (see
-// internal/cliflags). With
+// The shared flags (-idle-timeout, -drain-timeout, -addr, -metrics,
+// -tenant-keys, -tenant-keys-file, -v) spell and default exactly as in
+// raced, and the two share one lifecycle: the same announcements,
+// SIGHUP reload, drain and exit codes (see internal/cliflags). With
 // -tenant-keys (or -tenant-keys-file, which SIGHUP reloads live) the
 // gateway refuses bad or missing tenant credentials at the edge,
 // before a backend connection is spent; the Hello still crosses
@@ -120,11 +119,7 @@ func run(args []string) int {
 		ProbeFails:    *probeFails,
 		SessionTTL:    *sessionTTL,
 		IdleTimeout:   common.IdleTimeout,
-		// -queue-cap counts events, like raced's engine queue; size the
-		// relay buffers for that many encoded events (~16 bytes each,
-		// generously, before compression).
-		BufBytes: common.QueueCap * 16,
-		Tenants:  edgeTenants(tenants),
+		Tenants:       edgeTenants(tenants),
 	}
 	if common.Verbose {
 		cfg.Logf = logger.Printf

@@ -1,11 +1,11 @@
 // Package cliflags is the single source of truth for the flag surface
 // and the process lifecycle the wire-protocol binaries (raced,
 // racedctl) share. Both register through it, so the shared knobs —
-// -addr, -metrics, -queue-cap, -idle-timeout, -drain-timeout,
-// -tenant-keys, -tenant-keys-file, -v — spell, default, and document
-// themselves identically in every binary; and both run through
-// Common.Run, so they announce, reload and drain identically too. An
-// operator who knows one front-end knows them all.
+// -addr, -metrics, -idle-timeout, -drain-timeout, -tenant-keys,
+// -tenant-keys-file, -v — spell, default, and document themselves
+// identically in every binary; and both run through Common.Run, so they
+// announce, reload and drain identically too. An operator who knows one
+// front-end knows them all.
 package cliflags
 
 import (
@@ -29,11 +29,6 @@ type Common struct {
 	Addr string
 	// Metrics is the observability listen address ("" disables).
 	Metrics string
-	// QueueCap is the per-session buffering capacity, in events
-	// (0 = the binary's default). raced sizes each session's engine
-	// queue with it; racedctl sizes its per-connection relay buffers
-	// from it.
-	QueueCap int
 	// IdleTimeout evicts sessions (raced) or proxied connections
 	// (racedctl) idle this long (0 disables).
 	IdleTimeout time.Duration
@@ -61,7 +56,6 @@ type Common struct {
 func Register(fs *flag.FlagSet, defaultAddr string, c *Common) {
 	fs.StringVar(&c.Addr, "addr", defaultAddr, "session listen address")
 	fs.StringVar(&c.Metrics, "metrics", "", "observability listen address for /healthz and /metrics (empty disables)")
-	fs.IntVar(&c.QueueCap, "queue-cap", 0, "per-session buffering capacity in events (0 = default; raced: engine queue, racedctl: relay buffers)")
 	fs.DurationVar(&c.IdleTimeout, "idle-timeout", 0, "evict sessions idle this long (0 disables)")
 	fs.DurationVar(&c.DrainTimeout, "drain-timeout", DefaultDrainTimeout, "graceful shutdown budget before hard close")
 	fs.BoolVar(&c.Verbose, "v", false, "log session lifecycle events")

@@ -43,9 +43,6 @@ type Config struct {
 	// backends' resume window, or a reconnect inside the window would
 	// needlessly migrate.
 	SessionTTL time.Duration
-	// BufBytes sizes the per-direction relay write buffers (64 KiB
-	// when <= 0).
-	BufBytes int
 	// Tenants maps tenant name -> shared key. When non-empty the
 	// gateway verifies each client's Hello.Auth credential at the edge
 	// and refuses bad or missing ones with the same terminal
@@ -65,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 10 * time.Minute
-	}
-	if c.BufBytes <= 0 {
-		c.BufBytes = 64 << 10
 	}
 	return c
 }
@@ -688,6 +682,9 @@ func (g *Gateway) fetchFanOut(helloPayload []byte, exclude string) (string, net.
 	return "", nil, nil
 }
 
+// relayBufBytes sizes each relay direction's read and write buffers.
+const relayBufBytes = 64 << 10
+
 // relay pumps frames src -> dst until either side errors, re-emitting
 // each frame untouched (same type, same payload bytes — compressed
 // blocks are never decoded). The one exception is an unsolicited
@@ -696,8 +693,8 @@ func (g *Gateway) fetchFanOut(helloPayload []byte, exclude string) (string, net.
 // replay can still produce the full one.
 func (g *Gateway) relay(c *conduit, src, dst net.Conn, fromBackend bool) {
 	defer c.close()
-	br := bufio.NewReaderSize(src, g.cfg.BufBytes)
-	bw := bufio.NewWriterSize(dst, g.cfg.BufBytes)
+	br := bufio.NewReaderSize(src, relayBufBytes)
+	bw := bufio.NewWriterSize(dst, relayBufBytes)
 	var scratch []byte
 	for {
 		ft, payload, err := wire.ReadFrame(br, scratch)

@@ -8,11 +8,10 @@ import (
 // Bounded per-producer event queue for the concurrent ingestion pipeline
 // (Theorem 4). Each instrumented task owns one EventQueue and pushes
 // slabs of events into it; the single merge consumer pops slabs in
-// order. raced's sessions use the same queue between their frame reader
-// and their detector. Capacity is counted in events, not slabs, so
-// backpressure is proportional to the memory actually buffered: when a
-// producer runs ahead of the consumer its Push blocks until the consumer
-// drains — producers stall, memory never grows without bound.
+// order. Capacity is counted in events, not slabs, so backpressure is
+// proportional to the memory actually buffered: when a producer runs
+// ahead of the consumer its Push blocks until the consumer drains —
+// producers stall, memory never grows without bound.
 
 // DefaultBatchSize is the default producer-side slab of the event
 // queues: large enough to amortize the queue's lock, small enough to

@@ -56,10 +56,6 @@ import (
 // another node's left pointer only after receiving on its done channel,
 // which orders the read after every write by the halted task.
 
-// DefaultQueueCapacity mirrors fj.DefaultQueueCapacity for callers
-// configuring the pipeline through this package.
-const DefaultQueueCapacity = fj.DefaultQueueCapacity
-
 // Options configures RunPipeline.
 type Options struct {
 	// Context, when non-nil, cancels the run: producers stop emitting
@@ -69,7 +65,7 @@ type Options struct {
 	Context context.Context
 
 	// QueueCapacity bounds each per-task queue in buffered events
-	// (DefaultQueueCapacity when <= 0). A producer that runs ahead of
+	// (fj.DefaultQueueCapacity when <= 0). A producer that runs ahead of
 	// the merge stage by more than this blocks in its next flush.
 	QueueCapacity int
 

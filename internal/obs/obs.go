@@ -70,8 +70,12 @@ type Stats struct {
 
 	// Concurrent ingestion pipeline (goinstr): backpressure accounting
 	// for the bounded per-producer queues feeding the merge stage.
+	// Producers, MaxQueueDepth and ProducerStalls are set by
+	// DetectGoroutines only. EventsBuffered is set by DetectGoroutines
+	// (events that passed through its queues) and by raced (events of
+	// in-order blocks delivered to session detectors).
 	Producers      uint64 `json:"producers,omitempty"`       // event queues created (tasks that produced)
-	EventsBuffered uint64 `json:"events_buffered,omitempty"` // events that passed through the queues
+	EventsBuffered uint64 `json:"events_buffered,omitempty"` // events that passed through the queues (raced: events detected)
 	MaxQueueDepth  uint64 `json:"max_queue_depth,omitempty"` // high-water mark of any single queue (events)
 	ProducerStalls uint64 `json:"producer_stalls,omitempty"` // pushes that blocked on a full queue
 
@@ -80,7 +84,7 @@ type Stats struct {
 	// reports leave these zero, so local and remote Report JSON stay
 	// byte-identical.
 	Sessions         uint64 `json:"sessions,omitempty"`          // sessions accepted over the server's lifetime
-	SessionsRejected uint64 `json:"sessions_rejected,omitempty"` // connections refused at the live-session cap
+	SessionsRejected uint64 `json:"sessions_rejected,omitempty"` // sessions refused at admission: bad credentials, draining, the live-session cap or a tenant quota
 	Evictions        uint64 `json:"evictions,omitempty"`         // idle sessions evicted
 	Frames           uint64 `json:"frames,omitempty"`            // event frames ingested
 	WireBytes        uint64 `json:"wire_bytes,omitempty"`        // frame payload bytes received

@@ -69,13 +69,11 @@ func (s *Server) metrics() *obs.Exposition {
 		draining = 1
 	}
 	x.Gauge("raced_draining", "1 once shutdown has begun.", draining)
-	x.Counter("raced_sessions_rejected_total", "Sessions refused at admission: bad credentials, the session cap or a tenant quota.", st.SessionsRejected)
+	x.Counter("raced_sessions_rejected_total", "Sessions refused at admission: bad credentials, draining, the session cap or a tenant quota.", st.SessionsRejected)
 	x.Counter("raced_evictions_total", "Sessions evicted as idle.", st.Evictions)
 	x.Counter("raced_frames_total", "Event frames read.", st.Frames)
 	x.Counter("raced_wire_bytes_total", "Event frame payload bytes read.", st.WireBytes)
-	x.Counter("raced_events_buffered_total", "Events that passed through the session queues.", st.EventsBuffered)
-	x.Counter("raced_producer_stalls_total", "Pushes that blocked on a full session queue.", st.ProducerStalls)
-	x.Gauge("raced_queue_depth_max", "High-water mark of any session queue, in events.", st.MaxQueueDepth)
+	x.Counter("raced_events_buffered_total", "Events of in-order blocks delivered to session detectors.", st.EventsBuffered)
 	x.Counter("raced_handshake_refusals_total", "Connections refused before a session existed.", st.HandshakeRefusals)
 	x.Counter("raced_resumes_total", "Sessions re-attached by resume token.", st.Resumes)
 	x.Counter("raced_dups_dropped_total", "Duplicate event batches discarded after a resume.", st.DupsDropped)

@@ -2,22 +2,22 @@
 // wire-protocol sessions (internal/wire), runs one detector engine per
 // session, and answers each stream with the engine's Report.
 //
-// Every session is its own bounded pipeline. The connection reader
-// decodes event frames and pushes slabs into a per-session fj.EventQueue
-// — the same bounded SPSC machinery the goroutine frontend uses — and a
-// consumer goroutine drains the queue into the engine. The queue's
-// capacity is the session's entire buffering budget: a client that
-// outruns its detector fills the queue, the reader stops reading, TCP
-// flow control pushes back to the sender, and server memory stays
-// bounded at (live sessions) × (queue capacity) events no matter how
-// fast clients write.
+// A live session is one goroutine: the one that reads its connection.
+// The session's stream is already serialized by that connection, so the
+// goroutine decodes each in-order block into one reused, block-sized
+// slab and feeds it to the engine (Theorem 4's single consumer of one
+// ordered stream) before it reads the next frame. A client that outruns
+// its detector simply finds the reader busy detecting: TCP flow control
+// pushes back to the sender, and server memory stays bounded at
+// (live sessions) × (one decoded block plus detector state) no matter
+// how fast clients write.
 //
 // Admission control caps live sessions (extra connections are refused
 // with an Error frame, not queued), a janitor evicts sessions idle past
 // IdleTimeout, and Shutdown drains gracefully: every open session stops
-// reading, finishes detecting what it already buffered, and sends a
-// Report frame flagged Partial — a coherent verdict for the prefix of
-// the stream the detector consumed.
+// reading, detects the frames it already read, and sends a Report frame
+// flagged Partial — a coherent verdict for the prefix of the stream the
+// detector consumed.
 //
 // # Fault tolerance
 //
@@ -25,14 +25,16 @@
 // version byte in the magic is refused with the documented
 // wire.ErrVersion handshake refusal. A session numbers its EventsBlock
 // frames with contiguous sequence numbers and the server acknowledges
-// the highest contiguously ingested sequence after every EventsBlock
-// (and Heartbeat) frame. When a connection dies mid-stream the session is
-// not torn down: it is suspended — queue, engine, and sequence cursor
-// intact — for up to ResumeWindow. A reconnecting client presents the
+// the highest contiguously detected sequence after every EventsBlock
+// (and Heartbeat) frame: a block is fed to the engine before its Ack is
+// written, so an Ack means the engine has seen every event up to that
+// sequence. When a connection dies mid-stream the session is not torn
+// down: it is suspended — engine and sequence cursor intact — for up to
+// ResumeWindow. A reconnecting client presents the
 // resume token from its Welcome; the server adopts the new connection,
 // tells the client the next sequence it expects, and the client resends
 // from there. Duplicate sequences (resent batches the server already
-// ingested) are discarded, so the engine sees every event exactly once
+// detected) are discarded, so the engine sees every event exactly once
 // and the verdict is byte-identical to an undisturbed run — any prefix
 // of the stream is a coherent detector state, so re-extending it from
 // the last acknowledged point is always safe. Reports of finished
@@ -97,16 +99,12 @@ import (
 	race2d "repro"
 )
 
-// Config tunes a Server. The zero value is usable: 64 sessions, the
-// default queue capacity, no idle eviction, one-minute resume window.
+// Config tunes a Server. The zero value is usable: 64 sessions, no idle
+// eviction, one-minute resume window.
 type Config struct {
 	// MaxSessions caps concurrently live sessions; connections beyond
 	// the cap are refused with an Error frame. <= 0 means 64.
 	MaxSessions int
-	// QueueCapacity bounds each session's event queue, in events
-	// (fj.DefaultQueueCapacity when <= 0). This is the per-session
-	// memory budget for buffered, not-yet-detected events.
-	QueueCapacity int
 	// IdleTimeout evicts sessions that deliver no frame for this long.
 	// Zero disables eviction. (Clients send heartbeats, so a live but
 	// quiet client is not evicted.)
@@ -268,8 +266,8 @@ type Server struct {
 	wireBytesBlocks atomic.Uint64
 	wireBytesRaw    atomic.Uint64
 
-	// Queue backpressure accounting folded in as sessions retire.
-	retired obs.Stats // guarded by mu
+	// Events of in-order blocks delivered to session detectors.
+	eventsDetected atomic.Uint64
 }
 
 // New returns an idle Server.
@@ -452,7 +450,7 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Shutdown stops accepting, asks every live session to drain — each
-// detects what it already buffered and sends a Partial report — and
+// detects the frames it already read and sends a Partial report — and
 // waits for them to finish, up to ctx's deadline. Suspended sessions
 // have no peer to report to and are discarded.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -575,13 +573,6 @@ func (s *Server) abandonLocked(sess *session) {
 	}
 	sess.state = stateDone
 	s.dropSessionLocked(sess)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		sess.queue.Close()
-		<-sess.drained
-		s.foldStats(sess)
-	}()
 }
 
 // errDraining refuses fresh sessions on a draining (or closed) server.
@@ -667,10 +658,9 @@ func (s *Server) admit(conn net.Conn, hello wire.Hello, tenant string) (*session
 		conn:     conn,
 		detached: make(chan struct{}),
 		nextSeq:  1,
-		// Slabs hold a default block: DecodeBlockInto appends, so a
+		// The slab holds a default block: DecodeBlockInto appends, so a
 		// smaller slab would regrow on every fresh session's first blocks.
-		queue:   fj.NewEventQueue(s.cfg.QueueCapacity, wire.DefaultBlockEvents),
-		drained: make(chan struct{}),
+		slab: make([]fj.Event, 0, wire.DefaultBlockEvents),
 	}
 	sess.lastActive.Store(time.Now().UnixNano())
 	s.sessions[sess.id] = sess
@@ -679,13 +669,12 @@ func (s *Server) admit(conn net.Conn, hello wire.Hello, tenant string) (*session
 	return sess, nil
 }
 
-// retire removes a finished session and folds its accounting in.
+// retire removes a finished session.
 func (s *Server) retire(sess *session) {
 	s.mu.Lock()
 	sess.state = stateDone
 	s.dropSessionLocked(sess)
 	s.mu.Unlock()
-	s.foldStats(sess)
 }
 
 // dropSessionLocked removes a session from the live table and releases
@@ -700,20 +689,6 @@ func (s *Server) dropSessionLocked(sess *session) {
 	} else {
 		delete(s.tenantSessions, sess.tenant)
 	}
-}
-
-// foldStats folds a dead session's queue accounting into the server
-// totals.
-func (s *Server) foldStats(sess *session) {
-	qs := sess.queue.Stats()
-	s.mu.Lock()
-	s.retired.Producers++
-	s.retired.EventsBuffered += qs.Pushed
-	s.retired.ProducerStalls += qs.Stalls
-	if qs.MaxDepth > s.retired.MaxQueueDepth {
-		s.retired.MaxQueueDepth = qs.MaxDepth
-	}
-	s.mu.Unlock()
 }
 
 // refuse answers a connection that failed the handshake with a typed
@@ -825,7 +800,7 @@ func (s *Server) handle(conn net.Conn) {
 		writeError(conn, msg)
 		return
 	}
-	sess.startConsumer(eng)
+	sess.detector = race2d.NewEngineSink(eng)
 	s.logf("session %d: open (engine=%s) from %v", sess.id, eng, conn.RemoteAddr())
 	sess.serve(conn)
 }
@@ -953,36 +928,26 @@ func (s *Server) Live() int {
 	return len(s.sessions)
 }
 
-// Stats snapshots the server's wire-level and backpressure counters
-// (live sessions included).
+// Stats snapshots the server's wire-level counters (live sessions
+// included).
 func (s *Server) Stats() obs.Stats {
-	s.mu.Lock()
-	st := s.retired
-	for _, sess := range s.sessions {
-		qs := sess.queue.Stats()
-		st.Producers++
-		st.EventsBuffered += qs.Pushed
-		st.ProducerStalls += qs.Stalls
-		if qs.MaxDepth > st.MaxQueueDepth {
-			st.MaxQueueDepth = qs.MaxDepth
-		}
+	return obs.Stats{
+		EventsBuffered:    s.eventsDetected.Load(),
+		Sessions:          s.sessionsTotal.Load(),
+		SessionsRejected:  s.sessionsRejected.Load(),
+		Evictions:         s.evictions.Load(),
+		Frames:            s.frames.Load(),
+		WireBytes:         s.wireBytes.Load(),
+		HandshakeRefusals: s.handshakeRefusals.Load(),
+		Resumes:           s.resumes.Load(),
+		DupsDropped:       s.dupsDropped.Load(),
+		WireBlocks:        s.blocks.Load(),
+		WireBytesBlocks:   s.wireBytesBlocks.Load(),
+		WireBytesRaw:      s.wireBytesRaw.Load(),
 	}
-	s.mu.Unlock()
-	st.Sessions = s.sessionsTotal.Load()
-	st.SessionsRejected = s.sessionsRejected.Load()
-	st.Evictions = s.evictions.Load()
-	st.Frames = s.frames.Load()
-	st.WireBytes = s.wireBytes.Load()
-	st.HandshakeRefusals = s.handshakeRefusals.Load()
-	st.Resumes = s.resumes.Load()
-	st.DupsDropped = s.dupsDropped.Load()
-	st.WireBlocks = s.blocks.Load()
-	st.WireBytesBlocks = s.wireBytesBlocks.Load()
-	st.WireBytesRaw = s.wireBytesRaw.Load()
-	return st
 }
 
-// ---- per-session pipeline ----------------------------------------------
+// ---- per-session frame loop --------------------------------------------
 
 type sessState int
 
@@ -999,9 +964,10 @@ type session struct {
 	tenant string // authenticated tenant ("" on an open server)
 	srv    *Server
 
-	queue    *fj.EventQueue
-	drained  chan struct{} // closed when the consumer finished feeding the engine
+	// Touched only by the goroutine serving the session's current
+	// connection; suspend and adoption hand both over under srv.mu.
 	detector race2d.StreamDetector
+	slab     []fj.Event // one decoded block, reused for every block
 
 	lastActive atomic.Int64 // unix nanos of the last frame
 	draining   atomic.Bool  // shutdown: stop reading, report the prefix
@@ -1019,28 +985,6 @@ type session struct {
 	// removed from the live table: the janitor evicts the session once
 	// the grace window passes. Guarded by srv.mu like state.
 	revokeDeadline time.Time
-}
-
-// startConsumer launches the queue's single reader — the only goroutine
-// that touches the engine until drained is closed. It outlives any one
-// connection: a suspended session keeps detecting what it buffered.
-func (sess *session) startConsumer(eng race2d.Engine) {
-	sess.detector = race2d.NewEngineSink(eng)
-	go func() {
-		defer close(sess.drained)
-		for {
-			slab, ok := sess.queue.Pop()
-			if !ok {
-				break
-			}
-			// Per-event delivery: the engine sees the exact call
-			// sequence of a local run, so its Stats match byte for byte.
-			for _, e := range slab {
-				sess.detector.Event(e)
-			}
-			sess.queue.Recycle(slab)
-		}
-	}()
 }
 
 // beginDrain asks the session's reader to stop. The flag is set before
@@ -1065,8 +1009,8 @@ func (sess *session) interrupted(err error) bool {
 		(sess.draining.Load() || sess.evicting.Load())
 }
 
-// suspend parks a session whose connection died, keeping its
-// pipeline alive for ResumeWindow. Reports whether the session was
+// suspend parks a session whose connection died, keeping its engine
+// and sequence cursor for ResumeWindow. Reports whether the session was
 // suspended; false means the server is closing and the caller must
 // tear down instead.
 func (sess *session) suspend(nextSeq uint64, cause error) bool {
@@ -1136,7 +1080,8 @@ frames:
 		case wire.FrameEventsBlock:
 			srv.frames.Add(1)
 			srv.wireBytes.Add(uint64(len(payload)))
-			seq, slab, rawLen, err := blockDec.DecodeBlockInto(sess.queue.NewSlab(), payload)
+			seq, slab, rawLen, err := blockDec.DecodeBlockInto(sess.slab[:0], payload)
+			sess.slab = slab
 			if err != nil {
 				readErr, protoErr = err, true
 				break frames
@@ -1146,16 +1091,17 @@ frames:
 			srv.wireBytesRaw.Add(uint64(rawLen))
 			switch {
 			case seq < nextSeq:
-				// Duplicate of an already-ingested batch (a resend
+				// Duplicate of an already-detected batch (a resend
 				// raced an ack): the engine must see it exactly once.
 				srv.dupsDropped.Add(1)
 			case seq == nextSeq:
-				// Push blocks while the queue is full: backpressure
-				// reaches the client through TCP flow control.
-				if err := sess.queue.Push(slab); err != nil {
-					readErr = err
-					break frames
+				// Detect before the Ack, on this goroutine. Per-event
+				// delivery: the engine sees the exact call sequence of
+				// a local run, so its Stats match byte for byte.
+				for _, e := range slab {
+					sess.detector.Event(e)
 				}
+				srv.eventsDetected.Add(uint64(len(slab)))
 				nextSeq++
 			default:
 				readErr = fmt.Errorf("raced: sequence gap: got %d, want %d", seq, nextSeq)
@@ -1184,7 +1130,7 @@ frames:
 	}
 
 	// A dead transport suspends the session — everything else tears it
-	// down (after the engine consumed what was buffered).
+	// down.
 	if readErr != nil && !finished && !protoErr &&
 		!sess.evicting.Load() && !sess.draining.Load() {
 		if sess.suspend(nextSeq, readErr) {
@@ -1194,7 +1140,7 @@ frames:
 	sess.finish(conn, nextSeq, finished, readErr)
 }
 
-// writeAck sends an Ack frame naming the highest contiguously ingested
+// writeAck sends an Ack frame naming the highest contiguously detected
 // sequence (0 = nothing yet), framed into buf, which it returns for
 // reuse.
 func (sess *session) writeAck(conn net.Conn, buf []byte, seq uint64) ([]byte, error) {
@@ -1204,11 +1150,9 @@ func (sess *session) writeAck(conn net.Conn, buf []byte, seq uint64) ([]byte, er
 	return buf, err
 }
 
-// teardown closes the pipeline, lets the engine drain, and retires the
-// session, sending errMsg as a final Error frame unless it is empty.
+// teardown retires the session, sending errMsg as a final Error frame
+// unless it is empty.
 func (sess *session) teardown(conn net.Conn, errMsg string) {
-	sess.queue.Close()
-	<-sess.drained
 	if errMsg != "" {
 		writeError(conn, errMsg)
 	}
@@ -1232,9 +1176,6 @@ func (sess *session) finish(conn net.Conn, nextSeq uint64, finished bool, readEr
 		sess.teardown(conn, readErr.Error())
 		return
 	}
-
-	sess.queue.Close()
-	<-sess.drained
 
 	rep := sess.detector.Report()
 	body, err := rep.MarshalJSON()

@@ -278,10 +278,10 @@ func TestShutdownDeliversPartialReport(t *testing.T) {
 	}
 }
 
-// TestSessionSlabsFitBlocks pins the server's queue slabs to the wire's
-// block size. Blocks carry wire.DefaultBlockEvents events and decode by
-// append, so slabs sized for fj.DefaultBatchSize (256) regrew in ~1.25×
-// steps on every session's first blocks. With those slabs a 4000-event
+// TestSessionSlabsFitBlocks pins each session's decode slab to the
+// wire's block size. Blocks carry wire.DefaultBlockEvents events and
+// decode by append, so slabs sized for fj.DefaultBatchSize (256) regrew
+// in ~1.25× steps on every session's first blocks. With those slabs a 4000-event
 // session cost the process (client and server) 1,035,352 bytes; with
 // block-sized slabs, 663,976. The fewest bytes over five sessions
 // against a warmed-up server count.

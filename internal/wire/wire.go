@@ -37,7 +37,8 @@
 //     next sequence number the server expects;
 //   - every EventsBlock frame carries a monotonic sequence number, and
 //     the server answers with Ack frames naming the highest contiguously
-//     ingested sequence — the client may discard acknowledged batches
+//     detected sequence — raced feeds a block to the session's engine
+//     before it acks it, so the client may discard acknowledged batches
 //     from its replay buffer;
 //   - duplicate sequences (a client resending past an ack it never saw)
 //     are discarded, so replay after reconnect is idempotent;
@@ -151,7 +152,8 @@ const (
 	// FrameError carries a fatal session error as UTF-8 text.
 	FrameError FrameType = 6
 	// FrameAck (server → client) names the highest contiguously
-	// ingested event sequence (EncodeAck payload). The client may drop
+	// detected event sequence (EncodeAck payload): every event up to it
+	// has reached the session's engine. The client may drop
 	// acknowledged batches from its replay buffer.
 	FrameAck FrameType = 7
 	// FrameHeartbeat (both directions) is a keepalive. The payload
@@ -482,7 +484,7 @@ func DecodeWelcomeV3(payload []byte) (Welcome, error) {
 
 // ---- acknowledgement payload ---------------------------------------
 
-// EncodeAck renders the highest contiguously ingested sequence as an
+// EncodeAck renders the highest contiguously detected sequence as an
 // Ack frame payload.
 func EncodeAck(seq uint64) []byte {
 	return binary.AppendUvarint(nil, seq)

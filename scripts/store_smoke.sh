@@ -80,8 +80,10 @@ echo "store-smoke: bad credentials refused terminally"
 # 3. Observability: the store counters and per-tenant gauges are live.
 maddr=$(metrics_addr s2)
 curl -sf "http://$maddr/metrics" >"$tmp/metrics.out"
-for metric in raced_store_records raced_store_puts_total 'raced_tenant_store_records{tenant="acme"}'; do
-	if ! grep -qF "$metric" "$tmp/metrics.out"; then
+# Unlabeled samples are matched as '^name ', so a family's # HELP and
+# # TYPE lines cannot stand in for a missing sample.
+for metric in '^raced_store_records ' '^raced_store_puts_total ' 'raced_tenant_store_records{tenant="acme"}'; do
+	if ! grep -q "$metric" "$tmp/metrics.out"; then
 		echo "store-smoke: /metrics is missing $metric" >&2
 		cat "$tmp/metrics.out" >&2
 		exit 1
